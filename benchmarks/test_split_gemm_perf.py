@@ -3,8 +3,8 @@
 Times the LFD hot-path scenario — a repeated ``cgemm`` against frozen
 operands — both ways:
 
-* **cold**: plain ndarrays with the anonymous plan cache disabled, so
-  every call re-derives contiguous parts and split terms (the pre-plan
+* **cold**: plain ndarrays, which a GEMM never caches, so every call
+  re-derives contiguous parts and split terms (the pre-plan
   behaviour);
 * **prepared**: operands wrapped by :func:`repro.blas.plan.prepare`
   once, so per-call work is only the component products.
@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from repro.blas.gemm import gemm
-from repro.blas.plan import plan_cache, plan_cache_clear, prepare, release
+from repro.blas.plan import prepare, release
 from repro.blas.workspace import clear_workspace
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -69,9 +69,8 @@ def _bench_mode(mode: str) -> dict:
         np.complex64
     )
     try:
-        with plan_cache(False):
-            cold = _best_of(lambda: gemm(a, b, mode=mode))
-            ref = gemm(a, b, mode=mode)
+        cold = _best_of(lambda: gemm(a, b, mode=mode))
+        ref = gemm(a, b, mode=mode)
         a_plan, b_plan = prepare(a), prepare(b)
         gemm(a_plan, b_plan, mode=mode)  # build the cached forms once
         prepared = _best_of(lambda: gemm(a_plan, b_plan, mode=mode))
@@ -80,7 +79,6 @@ def _bench_mode(mode: str) -> dict:
     finally:
         release(a)
         release(b)
-        plan_cache_clear()
         clear_workspace()
     return {
         "mode": mode,

@@ -4,8 +4,8 @@ The split/3M/plan machinery is *numerics policy*: which reduced-precision
 terms to form, which component products to run, in which order to
 accumulate.  None of that cares where the O(n^3) work executes.  This
 module is the seam between the two: every hot-path array operation the
-compute kernels issue (allocate, cast, matmul, batched matmul, gather,
-accumulate, reduce) goes through an :class:`ArrayBackend`, so the same
+compute kernels issue (allocate, cast, matmul, accumulate, reduce) goes
+through an :class:`ArrayBackend`, so the same
 precision policy can ride ``np.matmul`` today and a tensor-core GEMM
 tomorrow — the "automatic BLAS offloading" direction of the TACC pilot
 study, with NumPy as the always-on reference.
@@ -158,26 +158,12 @@ class ArrayBackend:
         raise NotImplementedError
 
     def nbytes(self, x) -> int:
-        """Byte size of a native array (batching heuristics)."""
+        """Byte size of a native array (workspace accounting)."""
         raise NotImplementedError
 
     def result_dtype(self, a, b) -> np.dtype:
         """NumPy result dtype of combining two native arrays."""
         raise NotImplementedError
-
-    def np_dtype(self, x) -> np.dtype:
-        """NumPy dtype equivalent of a native array's element type.
-
-        Workspace keys and allocation requests are always expressed in
-        NumPy terms (:meth:`empty` takes a NumPy dtype), so callers
-        holding a *native* array must translate through this hook
-        rather than passing ``x.dtype`` along — a torch tensor's
-        ``dtype`` is a ``torch.dtype`` that ``np.dtype`` cannot
-        interpret.  The default handles any native type whose ``dtype``
-        attribute is NumPy-compatible; backends with foreign dtype
-        objects must override.
-        """
-        return np.dtype(x.dtype)
 
     # -- compute -------------------------------------------------------
 
@@ -187,20 +173,12 @@ class ArrayBackend:
 
     def batched_matmul(self, a, b, out=None):
         """Stacked ``a[i] @ b[i]``; same semantics as :meth:`matmul`
-        over 3-D stacks, split out so device backends can bind the
-        strided-batch kernel directly."""
+        over 3-D stacks.  Nothing in the package calls it; it stays
+        because qdbench's tracer wraps it by name."""
         return self.matmul(a, b, out=out)
-
-    def take(self, x, indices: np.ndarray, out):
-        """Gather ``x[indices]`` along axis 0 into ``out``."""
-        raise NotImplementedError
 
     def add_(self, out, x):
         """In-place accumulate ``out += x`` (returns ``out``)."""
-        raise NotImplementedError
-
-    def copy(self, x):
-        """Fresh native copy (detach a result from workspace storage)."""
         raise NotImplementedError
 
     def reduce(self, x, axis: Optional[int] = None):
@@ -252,12 +230,15 @@ class NumpyBackend(ArrayBackend):
     def matmul(self, a, b, out=None):
         return np.matmul(a, b, out=out)
 
-    def take(self, x, indices, out):
-        np.take(x, indices, axis=0, out=out)
-        return out
-
     def add_(self, out, x):
         np.add(out, x, out=out)
+        return out
+
+    # ``take`` and ``copy`` are called by nothing in the package; they
+    # stay only because qdbench's tracer wraps them by name.
+
+    def take(self, x, indices, out):
+        np.take(x, indices, axis=0, out=out)
         return out
 
     def copy(self, x: np.ndarray) -> np.ndarray:

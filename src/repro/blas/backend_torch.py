@@ -144,14 +144,6 @@ class TorchBackend(ArrayBackend):
     def result_dtype(self, a, b) -> np.dtype:
         return self._torch_to_np[self.torch.result_type(a, b)]
 
-    def np_dtype(self, x) -> np.dtype:
-        try:
-            return self._torch_to_np[x.dtype]
-        except KeyError:
-            raise TypeError(
-                f"torch backend has no NumPy mapping for dtype {x.dtype}"
-            ) from None
-
     # -- compute -------------------------------------------------------
 
     def matmul(self, a, b, out=None):
@@ -173,15 +165,8 @@ class TorchBackend(ArrayBackend):
         finally:
             mm.allow_tf32 = prev
 
-    def take(self, x, indices, out):
-        idx = self.torch.as_tensor(np.ascontiguousarray(indices), device=self.device)
-        return self.torch.index_select(x, 0, idx, out=out)
-
     def add_(self, out, x):
         return out.add_(x)
-
-    def copy(self, x):
-        return x.clone()
 
     def reduce(self, x, axis=None):
         return self.torch.sum(x) if axis is None else self.torch.sum(x, dim=axis)

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.blas import backend as _backend
 from repro.blas.gemm import (
-    _anon_worth_it,
     _assert_finite,
     _compute,
     _current_site,
@@ -72,13 +71,8 @@ def gemm_batch(
     dtype = _working_dtype(a_arr, b_arr)
     effective = resolve_mode(mode)
     routine = _routine_name(dtype)
-    anon = _anon_worth_it(effective, dtype)
-    a_h = operand_handle(
-        a_plan if a_plan is not None else a_arr, trans_a, dtype, allow_anonymous=anon
-    )
-    b_h = operand_handle(
-        b_plan if b_plan is not None else b_arr, trans_b, dtype, allow_anonymous=anon
-    )
+    a_h = operand_handle(a_plan if a_plan is not None else a_arr, trans_a, dtype)
+    b_h = operand_handle(b_plan if b_plan is not None else b_arr, trans_b, dtype)
     if a_h.shape[-1] != b_h.shape[-2]:
         raise ValueError(
             f"inner dimensions differ: op(A) {a_h.shape} @ op(B) {b_h.shape}"

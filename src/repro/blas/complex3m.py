@@ -129,7 +129,7 @@ def gemm_4m_split_planned(a_handle, b_handle, precision, n_terms, backend=None) 
     This is ``gemm_4m(a, b, real_gemm=split_gemm_real)`` routed through
     prepared operands: the four real GEMMs share each part's split
     stack (built once) and run on the fused engine — a BF16X3 ``cgemm``
-    drops from 24 fresh-temporary matmuls to 4 fused batches.  The
+    is 24 ``out=`` matmuls into one reused workspace buffer.  The
     component products execute on ``backend`` (default: the ambient
     :func:`repro.blas.backend.active_backend`); the Cr/Ci assembly is
     cheap element-wise work and stays in NumPy.

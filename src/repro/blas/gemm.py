@@ -176,26 +176,6 @@ def _working_dtype(a: np.ndarray, b: np.ndarray) -> np.dtype:
     return np.dtype(np.float64)
 
 
-def _anon_worth_it(mode: ComputeMode, dtype: np.dtype) -> bool:
-    """Whether an anonymous plan-cache lookup can pay for itself.
-
-    The lookup costs one content-hash pass over the operand.  Only the
-    split-precision paths re-derive enough per call (rounding/slicing
-    passes over every split term) to amortise that; for STANDARD/3M the
-    derived forms are a few cheap packing passes, so hashing every
-    fresh operand would be a net loss on the hot path.
-    """
-    single = dtype in (np.dtype(np.float32), np.dtype(np.complex64))
-    if (mode.is_low_precision or mode.uses_int8) and single:
-        return True
-    # Emulated FP64 splits double operands into three terms; the
-    # single-precision variant is one cast, not worth the hash.
-    return mode.uses_fp64_emulation and dtype in (
-        np.dtype(np.float64),
-        np.dtype(np.complex128),
-    )
-
-
 def _compute(
     a_h: OrientedOperand,
     b_h: OrientedOperand,
@@ -333,13 +313,8 @@ def gemm(
         effective = resolve_mode(mode)
     routine = _routine_name(dtype)
 
-    anon = _anon_worth_it(effective, dtype)
-    a_h = operand_handle(
-        a_plan if a_plan is not None else a_arr, trans_a, dtype, allow_anonymous=anon
-    )
-    b_h = operand_handle(
-        b_plan if b_plan is not None else b_arr, trans_b, dtype, allow_anonymous=anon
-    )
+    a_h = operand_handle(a_plan if a_plan is not None else a_arr, trans_a, dtype)
+    b_h = operand_handle(b_plan if b_plan is not None else b_arr, trans_b, dtype)
     op_a_shape = a_h.shape
     op_b_shape = b_h.shape
     if op_a_shape[1] != op_b_shape[0]:

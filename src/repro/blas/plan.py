@@ -1,36 +1,39 @@
 """Split-plan caching: prepared operands for the split-GEMM fast path.
 
 The LFD hot loop multiplies a *frozen* operand — ``Psi(0)``, fixed for
-the 500 QD steps of an SCF block — against a fresh ``Psi(t)`` three
-times per step.  The naive emulation re-derives everything about the
-frozen side on every call: contiguous real/imag parts, the
+the 500 QD steps of an SCF block — against a fresh ``Psi(t)`` in all
+three paper functions.  The naive emulation re-derives everything about
+the frozen side on every call: contiguous real/imag parts, the
 reduced-precision split terms, even the plain contiguous copy the
 standard path wants.  All of that work is *pure* in the operand's
 bytes, so it can be computed once and cached.
 
-Three layers:
+Two layers serve the GEMMs:
 
 * :class:`PreparedOperand` — wraps one array and memoises every derived
-  form the GEMM kernels ask for, keyed by ``(kind, trans, dtype, ...)``.
-  Mutating the array without telling the plan would silently desynchronise
-  the cache, so the class offers an explicit :meth:`invalidate` plus a
-  content fingerprint (:meth:`fingerprint`, :meth:`refresh_if_changed`)
-  for callers that cannot prove frozenness.
+  form the GEMM kernels ask for, keyed by ``(kind, trans, dtype, ...)``,
+  including cached child plans of column blocks (:meth:`columns`),
+  which keep only their split stacks.
+  Mutating the array without telling the plan would silently
+  desynchronise the cache, so the class offers an explicit
+  :meth:`invalidate` plus a content fingerprint (:meth:`fingerprint`,
+  :meth:`refresh_if_changed`) for callers that cannot prove frozenness.
 * :func:`prepare` — identity-keyed registry so repeated ``prepare(x)``
-  on the same live array returns the same plan (the
-  :class:`~repro.dcmesh.nlp.NonlocalPropagator` path).
-* an anonymous LRU (:func:`lookup_anonymous`) — content-fingerprint
-  keyed, consulted by the GEMM entry points for plain ``ndarray``
-  operands above a size threshold.  A repeated call with the same bytes
-  hits the cache after one cheap hashing pass; a mutated or new array
-  misses and is re-split.  Because the key includes a full content
-  digest, a hit can only return derived forms of *identical bytes*, so
-  the bitwise-equivalence contract survives arbitrary mutation.
+  on the same live array returns the same plan.  ``Simulation.run``
+  hands the :class:`~repro.dcmesh.nlp.NonlocalPropagator`'s plan of
+  ``Psi(0)`` to ``calc_energy`` and ``remap_occ`` as well.
+
+A plain ``ndarray`` passed to a GEMM gets a throwaway plan for that one
+call: nothing is hashed, and its forms are derived once per call.
+
+No GEMM entry point consults the anonymous content-keyed LRU
+(:func:`lookup_anonymous`); its statistics stay readable through
+:func:`plan_cache_info`.
 
 Caching cannot change results: every derived form is produced by
 exactly the array operations the cold path would run (same casts, same
-``ascontiguousarray`` packing, same split order), so downstream
-``np.matmul`` calls see byte-identical inputs either way.
+packing, same split order), so downstream ``np.matmul`` calls see
+byte-identical inputs either way.
 
 Backend-native mirrors: when a non-NumPy :class:`~repro.blas.backend.
 ArrayBackend` is active, the compute kernels ask the plan for *native*
@@ -43,11 +46,10 @@ arrays (see :meth:`PreparedOperand.native_mirror`).
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -68,15 +70,11 @@ __all__ = [
     "operand_handle",
     "lookup_anonymous",
     "plan_cache_enabled",
-    "set_plan_cache",
-    "plan_cache",
     "plan_cache_clear",
     "plan_cache_info",
 ]
 
-#: Plain-ndarray operands at or above this byte count are worth a
-#: fingerprint pass to consult the anonymous LRU (one read-only pass
-#: against the ~10 read+write passes a re-split would cost).
+#: :func:`lookup_anonymous` ignores arrays below this byte count.
 ANON_MIN_BYTES = 1 << 16
 
 #: Anonymous plans kept alive (LRU).  Each holds its operand's splits,
@@ -107,16 +105,27 @@ def _split_mode_label(keep_bits: int, n_terms: int) -> str:
     return base if n_terms == 1 else f"{base}x{n_terms}"
 
 
-def _oriented(x: np.ndarray, trans: str) -> np.ndarray:
-    """Apply a BLAS trans flag to the last two axes (view, no copy)."""
+def _swapped(x: np.ndarray, trans: str) -> np.ndarray:
+    """``x`` with its last two axes swapped for ``'T'``/``'C'`` (a view)."""
     if trans == "N":
         return x
-    if trans == "T":
+    if trans in ("T", "C"):
         return np.swapaxes(x, -1, -2)
-    if trans == "C":
-        out = np.swapaxes(x, -1, -2)
-        return out.conj() if np.iscomplexobj(out) else out
     raise ValueError(f"trans must be 'N', 'T' or 'C', got {trans!r}")
+
+
+def _op_shape(shape: Tuple[int, ...], trans: str) -> Tuple[int, ...]:
+    """Shape of ``op(A)`` from ``A``'s shape (no array is touched)."""
+    if trans == "N":
+        return shape
+    if trans in ("T", "C"):
+        return shape[:-2] + (shape[-1], shape[-2])
+    raise ValueError(f"trans must be 'N', 'T' or 'C', got {trans!r}")
+
+
+#: Kinds of derived form a GEMM reads directly or splits from: the
+#: packed/conjugated operand and its real/imaginary parts.
+_BASE_KINDS = ("oriented", "part")
 
 
 class PreparedOperand:
@@ -126,16 +135,44 @@ class PreparedOperand:
     is built on first use and kept until :meth:`invalidate`.  All
     derivations replicate the cold path's exact array operations, so a
     cached form is byte-identical to what an uncached call would build.
+
+    With ``keep_bases=False`` the plan keeps only its split-family forms
+    (split, Ozaki and emulated-FP64 stacks); the base forms it splits
+    from, which STANDARD and 3M multiply directly, are derived once per
+    GEMM call (see :meth:`_for_call`) and dropped with it, exactly as for
+    a plain array.  :meth:`columns` children are made this way.
     """
 
-    __slots__ = ("array", "version", "_derived", "_lock", "_fingerprint")
+    __slots__ = ("array", "version", "_derived", "_bases", "_lock", "_fingerprint")
 
-    def __init__(self, array: np.ndarray):
+    def __init__(self, array: np.ndarray, *, keep_bases: bool = True):
         self.array = np.asarray(array)
         self.version = 0
         self._derived: Dict[tuple, object] = {}
+        # Where base forms are cached: with everything else, or nowhere.
+        self._bases: Optional[Dict[tuple, object]] = (
+            self._derived if keep_bases else None
+        )
         self._lock = threading.Lock()
         self._fingerprint: Optional[bytes] = None
+
+    def _for_call(self) -> "PreparedOperand":
+        """The plan one GEMM call reads this operand's forms from.
+
+        A plan that keeps its base forms is its own.  Otherwise this is
+        a throwaway plan over the same array that shares this plan's
+        lock and cached forms but holds base forms in its own dict, so
+        a call derives each at most once and nothing outlives the call.
+        """
+        if self._bases is not None:
+            return self
+        view = PreparedOperand(self.array)  # its _bases: a fresh dict
+        view._derived = self._derived
+        view._lock = self._lock
+        return view
+
+    def _store(self, kind: str) -> Optional[Dict[tuple, object]]:
+        return self._bases if kind in _BASE_KINDS else self._derived
 
     # -- lifecycle -----------------------------------------------------
 
@@ -186,7 +223,8 @@ class PreparedOperand:
     # -- derived forms -------------------------------------------------
 
     def _derive(self, key: tuple, builder):
-        got = self._derived.get(key)
+        store = self._store(key[0])
+        got = None if store is None else store.get(key)
         t = _telemetry_active()
         if got is None:
             if t is not None:
@@ -197,8 +235,9 @@ class PreparedOperand:
                     site=_current_site_id() or "-",
                 )
             got = builder()
-            with self._lock:
-                got = self._derived.setdefault(key, got)
+            if store is not None:
+                with self._lock:
+                    got = store.setdefault(key, got)
         elif t is not None:
             t.count(
                 "blas.plan.derive",
@@ -213,7 +252,10 @@ class PreparedOperand:
         dtype = np.dtype(dtype)
 
         def build():
-            op = _oriented(self.array.astype(dtype, copy=False), trans)
+            op = _swapped(self.array.astype(dtype, copy=False), trans)
+            if trans == "C" and dtype.kind == "c":
+                # Conjugate straight into the packed buffer (one pass).
+                return np.conjugate(op, out=np.empty(op.shape, dtype))
             return np.ascontiguousarray(op)
 
         return self._derive(("oriented", trans, dtype.str), build)
@@ -224,7 +266,10 @@ class PreparedOperand:
         ``which`` is ``'re'``, ``'im'`` or ``'re+im'`` (the 3M sum
         term).  ``dtype`` is the *complex* working dtype; the parts are
         stored in the matching real dtype, exactly as
-        :func:`repro.blas.complex3m._parts` packs them.
+        :func:`repro.blas.complex3m._parts` packs them.  ``'C'`` reads
+        both parts from the swapped view and packs ``-im`` directly: a
+        sign flip is exact, so this is bitwise the conjugated copy's
+        imaginary part without building that copy.
         """
         dtype = np.dtype(dtype)
         rdt = np.float64 if dtype == np.complex128 else np.float32
@@ -232,11 +277,27 @@ class PreparedOperand:
         def build():
             if which == "re+im":
                 return self.part(trans, dtype, "re") + self.part(trans, dtype, "im")
-            op = _oriented(self.array.astype(dtype, copy=False), trans)
-            comp = op.real if which == "re" else op.imag
-            return np.ascontiguousarray(comp, dtype=rdt)
+            op = _swapped(self.array.astype(dtype, copy=False), trans)
+            if which == "re":
+                return np.ascontiguousarray(op.real, dtype=rdt)
+            if trans == "C":
+                return np.negative(op.imag, out=np.empty(op.shape, rdt))
+            return np.ascontiguousarray(op.imag, dtype=rdt)
 
         return self._derive(("part", trans, dtype.str, which), build)
+
+    def columns(self, start: int, stop: int) -> "PreparedOperand":
+        """Cached child plan of the column block ``array[..., start:stop]``.
+
+        The child wraps a view, so it derives exactly the forms a plain
+        slice would.  It is stored among this plan's derived forms:
+        :meth:`invalidate` (and a :meth:`refresh_if_changed` that finds
+        the bytes changed) drops it with everything else.
+        """
+        return self._derive(
+            ("columns", start, stop),
+            lambda: PreparedOperand(self.array[..., start:stop], keep_bases=False),
+        )
 
     def split_stack(
         self,
@@ -288,8 +349,8 @@ class PreparedOperand:
                 prev_stack, prev_resid, prev_n = stack, resid, n
                 break
         if prev_stack is not None:
-            terms, residual = extend_split(
-                tuple(prev_stack), prev_resid, keep_bits, n_terms - prev_n
+            built, residual = extend_split(
+                prev_stack, prev_resid, keep_bits, n_terms - prev_n
             )
             result = "extend"
         else:
@@ -297,7 +358,7 @@ class PreparedOperand:
                 base = self.oriented(trans, np.float32)
             else:
                 base = self.part(trans, np.dtype(dtype or np.complex64), part)
-            terms, residual = split_terms_residual(base, keep_bits, n_terms)
+            built, residual = split_terms_residual(base, keep_bits, n_terms)
             result = "full"
         if t is not None:
             t.count(
@@ -306,7 +367,6 @@ class PreparedOperand:
                 mode=_split_mode_label(keep_bits, n_terms),
                 site=_current_site_id() or "-",
             )
-        built = np.stack(terms)
         with self._lock:
             got = self._derived.setdefault(key, built)
             self._derived.setdefault(
@@ -342,7 +402,7 @@ class PreparedOperand:
                 base = self.oriented(trans, np.float32)
             else:
                 base = self.part(trans, np.dtype(dtype or np.complex64), part)
-            return np.stack(ozaki_slice_terms(base, n_slices, axis=axis))
+            return ozaki_slice_terms(base, n_slices, axis=axis)
 
         return self._derive(("ozaki", trans, n_slices, part, operand), build)
 
@@ -371,7 +431,7 @@ class PreparedOperand:
                 base = self.oriented(trans, np.float64 if double else np.float32)
             else:
                 base = self.part(trans, wdt, part)
-            return np.stack(emulated_fp64_split_terms(base, n_terms))
+            return emulated_fp64_split_terms(base, n_terms)
 
         return self._derive(("efp64", trans, n_terms, part, double), build)
 
@@ -394,7 +454,8 @@ class PreparedOperand:
         if backend.capabilities.native_is_numpy:
             return array
         k = ("native", backend.cache_key) + key
-        got = self._derived.get(k)
+        store = self._store(key[0])
+        got = None if store is None else store.get(k)
         t = _telemetry_active()
         if got is None:
             if t is not None:
@@ -405,8 +466,9 @@ class PreparedOperand:
                     site=_current_site_id() or "-",
                 )
             got = backend.to_native(array)
-            with self._lock:
-                got = self._derived.setdefault(k, got)
+            if store is not None:
+                with self._lock:
+                    got = store.setdefault(k, got)
         elif t is not None:
             t.count(
                 "blas.plan.native",
@@ -438,7 +500,7 @@ class OrientedOperand:
 
     @property
     def shape(self) -> Tuple[int, ...]:
-        return _oriented(self.plan.array, self.trans).shape
+        return _op_shape(self.plan.array.shape, self.trans)
 
     def contiguous(self) -> np.ndarray:
         return self.plan.oriented(self.trans, self.dtype)
@@ -516,7 +578,6 @@ _REGISTRY_SIZE = 8
 
 _anon_lock = threading.Lock()
 _anon: "OrderedDict[bytes, PreparedOperand]" = OrderedDict()
-_anon_enabled = True
 _anon_stats = {"hits": 0, "misses": 0}
 
 
@@ -571,11 +632,12 @@ def lookup_anonymous(array: np.ndarray) -> Optional[PreparedOperand]:
     """Content-keyed LRU lookup for a plain ndarray operand.
 
     Returns a plan whose wrapped array had byte-identical content, or
-    ``None`` when the array is too small / the cache is disabled.  The
+    ``None`` when the array is below :data:`ANON_MIN_BYTES`.  The
     fingerprint is recomputed on every call, so a mutated array can
-    never be served stale derived forms.
+    never be served stale derived forms.  The GEMM entry points do not
+    call this; pass a :func:`prepare`-d operand to reuse its splits.
     """
-    if not _anon_enabled or array.nbytes < ANON_MIN_BYTES:
+    if array.nbytes < ANON_MIN_BYTES:
         return None
     fp = _fingerprint_array(array)
     t = _telemetry_active()
@@ -601,28 +663,8 @@ def lookup_anonymous(array: np.ndarray) -> Optional[PreparedOperand]:
 
 
 def plan_cache_enabled() -> bool:
-    """Whether the anonymous content-keyed plan cache is active."""
-    return _anon_enabled
-
-
-def set_plan_cache(enabled: bool) -> None:
-    """Enable/disable the anonymous plan cache (process-wide)."""
-    global _anon_enabled
-    _anon_enabled = bool(enabled)
-    if not enabled:
-        plan_cache_clear()
-
-
-@contextlib.contextmanager
-def plan_cache(enabled: bool) -> Iterator[None]:
-    """Scoped toggle of the anonymous plan cache (benchmarks use this
-    to time the genuinely cold path)."""
-    prev = _anon_enabled
-    set_plan_cache(enabled)
-    try:
-        yield
-    finally:
-        set_plan_cache(prev)
+    """Always ``True``: :func:`lookup_anonymous` has no off switch."""
+    return True
 
 
 def plan_cache_clear() -> None:
@@ -640,23 +682,16 @@ def plan_cache_info() -> dict:
 
 
 def operand_handle(
-    x: Union[np.ndarray, PreparedOperand],
-    trans: str,
-    dtype: np.dtype,
-    *,
-    allow_anonymous: bool = True,
+    x: Union[np.ndarray, PreparedOperand], trans: str, dtype: np.dtype
 ) -> OrientedOperand:
     """Build the compute-kernel handle for one operand.
 
-    Prepared operands use their own plan; plain arrays get either an
-    anonymous-cache plan (large arrays, content-validated) or a
-    throwaway plan — which still pays off *within* the call, because
-    the 4M/3M decompositions ask for each part's splits more than once.
+    Prepared operands use their own plan; plain arrays get a throwaway
+    plan, which still pays off *within* the call, because the 4M/3M
+    decompositions ask for each part's splits more than once.  Plain
+    arrays are never content-hashed: a caller that reuses a frozen
+    operand passes it :func:`prepare`-d.
     """
     if isinstance(x, PreparedOperand):
-        return OrientedOperand(x, trans, dtype)
-    x = np.asarray(x)
-    plan = lookup_anonymous(x) if allow_anonymous else None
-    if plan is None:
-        plan = PreparedOperand(x)
-    return OrientedOperand(plan, trans, dtype)
+        return OrientedOperand(x._for_call(), trans, dtype)
+    return OrientedOperand(PreparedOperand(x), trans, dtype)

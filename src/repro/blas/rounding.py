@@ -19,7 +19,7 @@ passed through untouched.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +50,9 @@ _FP32_MANTISSA = 23
 _EXP_MASK = np.uint32(0x7F800000)
 
 
-def round_mantissa(x: np.ndarray, keep_bits: int) -> np.ndarray:
+def round_mantissa(
+    x: np.ndarray, keep_bits: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Round FP32 array ``x`` to ``keep_bits`` mantissa bits with RNE.
 
     Returns a *float32* array whose values are exactly representable in
@@ -65,31 +67,42 @@ def round_mantissa(x: np.ndarray, keep_bits: int) -> np.ndarray:
         happens when data is handed to an FP32 BLAS call.
     keep_bits:
         Number of explicit mantissa bits to retain, in ``[0, 23]``.
+    out:
+        Optional C-contiguous float32 array of ``x``'s shape to write
+        the result into (the split kernels pass one slot of their term
+        stack).  It must not overlap ``x``.
     """
     if not 0 <= keep_bits <= _FP32_MANTISSA:
         raise ValueError(f"keep_bits must be in [0, 23], got {keep_bits}")
     x32 = np.ascontiguousarray(x, dtype=np.float32)
     if keep_bits == _FP32_MANTISSA:
+        if out is not None:
+            out[...] = x32
+            return out
         return x32.copy() if x32 is x else x32
     drop = _FP32_MANTISSA - keep_bits
     u = x32.view(np.uint32)
-    # All shift/mask constants as np.uint32: mixing Python ints into
-    # uint32 ops relies on NumPy's value-based casting, which NumPy >= 2
-    # (NEP 50) resolves differently (and loudly) — keep every operand in
-    # the array's dtype so the arithmetic is unambiguous and warning-free.
-    half = np.uint32((1 << (drop - 1)) - 1)
-    guard = (u >> np.uint32(drop)) & np.uint32(1)
-    keep_mask = np.uint32((0xFFFFFFFF << drop) & 0xFFFFFFFF)
+    # Every step runs in place in the one result buffer.  All shift/mask
+    # constants are np.uint32: mixing Python ints into uint32 ops relies
+    # on NumPy's value-based casting, which NumPy >= 2 (NEP 50) resolves
+    # differently (and loudly) — keep every operand in the array's dtype
+    # so the arithmetic is unambiguous and warning-free.
+    r = np.empty_like(u) if out is None else out.view(np.uint32)
+    np.right_shift(u, np.uint32(drop), out=r)
+    np.bitwise_and(r, np.uint32(1), out=r)  # guard bit
+    np.add(r, np.uint32((1 << (drop - 1)) - 1), out=r)
     # `u + half + guard` wraps (mod 2^32) only for Inf/NaN patterns,
-    # whose results are discarded by the `special` restore below; for
-    # every finite input the sum stays in range and a mantissa overflow
-    # carries into the exponent — exactly IEEE round-up (see the
-    # regression test at the all-ones-mantissa boundary).
-    rounded = (u + half + guard) & keep_mask
-    # Preserve Inf/NaN bit patterns: the add above would corrupt them.
-    special = (u & _EXP_MASK) == _EXP_MASK
-    out = np.where(special, u, rounded)
-    return out.view(np.float32)
+    # whose results are discarded by the restore below; for every finite
+    # input the sum stays in range and a mantissa overflow carries into
+    # the exponent — exactly IEEE round-up (see the regression test at
+    # the all-ones-mantissa boundary).
+    np.add(r, u, out=r)
+    np.bitwise_and(r, np.uint32((0xFFFFFFFF << drop) & 0xFFFFFFFF), out=r)
+    # Preserve Inf/NaN bit patterns, which the add above corrupts; the
+    # mask pass is only paid when the input holds any.
+    if not np.isfinite(x32).all():
+        np.copyto(r, u, where=(u & _EXP_MASK) == _EXP_MASK)
+    return r.view(np.float32)
 
 
 def round_fp32_to_bf16(x: np.ndarray) -> np.ndarray:
@@ -142,50 +155,68 @@ def split_terms(x: np.ndarray, keep_bits: int, n_terms: int) -> Tuple[np.ndarray
 
 def split_terms_residual(
     x: np.ndarray, keep_bits: int, n_terms: int
-) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
-    """Like :func:`split_terms` but also return the final FP32 residual.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Like :func:`split_terms`, but the terms come back as one stack.
+
+    Returns ``(stack, residual)``: ``stack`` is a C-contiguous
+    ``(n_terms, *x.shape)`` float32 array whose slot ``i`` is bitwise
+    equal to ``split_terms(x, keep_bits, n_terms)[i]`` (each term is
+    rounded straight into its slot, so the engine reads the stack with
+    no further packing), and ``residual`` is the final FP32 residual.
 
     The residual after ``n`` terms is the exact starting point for term
     ``n + 1``: because each term depends only on the running residual,
     the first ``n`` terms of an ``(n + k)``-term split are bitwise equal
-    to the ``n``-term split.  Caching ``(terms, residual)`` therefore
+    to the ``n``-term split.  Caching ``(stack, residual)`` therefore
     lets a precision escalation extend an existing split incrementally
     (one extra rounding + subtraction) instead of recomputing every
     term from scratch — see :meth:`repro.blas.plan.PreparedOperand`.
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    residual = np.ascontiguousarray(x, dtype=np.float32)
-    terms = []
-    for _ in range(n_terms):
-        t = round_mantissa(residual, keep_bits)
-        terms.append(t)
-        residual = residual - t
-    return tuple(terms), residual
+    x32 = np.ascontiguousarray(x, dtype=np.float32)
+    stack = np.empty((n_terms,) + x32.shape, dtype=np.float32)
+    return stack, _fill_terms(stack, 0, x32, keep_bits)
 
 
 def extend_split(
-    terms: Tuple[np.ndarray, ...],
+    terms: Sequence[np.ndarray],
     residual: np.ndarray,
     keep_bits: int,
     extra_terms: int,
-) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Append ``extra_terms`` more components to an existing split.
 
     ``terms``/``residual`` must come from :func:`split_terms_residual`
-    with the same ``keep_bits``.  The returned terms are bitwise
-    identical to a from-scratch ``split_terms_residual`` of the
-    original array with ``len(terms) + extra_terms`` terms (prefix
-    property: the FP32 subtraction sequence is unchanged).
+    with the same ``keep_bits``.  Returns ``(stack, residual)`` like
+    that function; the stack is bitwise identical to a from-scratch
+    ``split_terms_residual`` of the original array with
+    ``len(terms) + extra_terms`` terms (prefix property: the FP32
+    subtraction sequence is unchanged).  Neither input is modified.
     """
     if extra_terms < 1:
         raise ValueError(f"extra_terms must be >= 1, got {extra_terms}")
-    out = list(terms)
-    for _ in range(extra_terms):
-        t = round_mantissa(residual, keep_bits)
-        out.append(t)
-        residual = residual - t
-    return tuple(out), residual
+    n_old = len(terms)
+    stack = np.empty((n_old + extra_terms,) + residual.shape, dtype=np.float32)
+    stack[:n_old] = terms
+    return stack, _fill_terms(stack, n_old, residual, keep_bits)
+
+
+def _fill_terms(
+    stack: np.ndarray, start: int, residual: np.ndarray, keep_bits: int
+) -> np.ndarray:
+    """Round ``stack[start:]`` from ``residual``; return the final residual.
+
+    The first subtraction allocates the residual buffer (``residual``
+    belongs to the caller); later ones update it in place.
+    """
+    for i in range(start, len(stack)):
+        t = round_mantissa(residual, keep_bits, out=stack[i])
+        if i == start:
+            residual = residual - t
+        else:
+            np.subtract(residual, t, out=residual)
+    return residual
 
 
 def split_bf16(x: np.ndarray, n_terms: int) -> Tuple[np.ndarray, ...]:
@@ -198,7 +229,7 @@ def split_tf32(x: np.ndarray, n_terms: int = 1) -> Tuple[np.ndarray, ...]:
     return split_terms(x, MANTISSA_BITS[Precision.TF32], n_terms)
 
 
-def ozaki_slice_terms(x: np.ndarray, n_slices: int, axis: int) -> Tuple[np.ndarray, ...]:
+def ozaki_slice_terms(x: np.ndarray, n_slices: int, axis: int) -> np.ndarray:
     """Ozaki-scheme decomposition into scaled-INT8 slice terms.
 
     Every element of ``x`` is written as a sum of ``n_slices`` terms
@@ -210,8 +241,9 @@ def ozaki_slice_terms(x: np.ndarray, n_slices: int, axis: int) -> Tuple[np.ndarr
     product in the output sees one fixed scale per (slice, slice) pair
     and the INT8xINT8 -> INT32 accumulation is exact.
 
-    The terms are returned as *float64* arrays holding those exactly
-    representable scaled integers: a float64 matmul of two such terms
+    The terms are returned as one C-contiguous ``(n_slices, *x.shape)``
+    *float64* stack holding those exactly representable scaled
+    integers: a float64 matmul of two such terms
     is then a bit-exact emulation of the integer tensor-core product
     (each scalar product is ``q * q' * 2**(...)`` with ``|q*q'| <=
     127**2 < 2**14``, and the k-fold sum stays far below ``2**53``).
@@ -234,16 +266,17 @@ def ozaki_slice_terms(x: np.ndarray, n_slices: int, axis: int) -> Tuple[np.ndarr
     _, e = np.frexp(absmax)
     r = np.ldexp(x64, -e)               # |r| < 1, exact
     radix = float(1 << OZAKI_SLICE_BITS)
-    terms = []
+    stack = np.empty((n_slices,) + x64.shape)
+    q = np.empty_like(r)
     for i in range(n_slices):
-        shifted = r * radix             # |shifted| < 128, exact
-        q = np.trunc(shifted)           # integer slice, |q| <= 127
-        r = shifted - q                 # exact fractional remainder
-        terms.append(np.ldexp(q, e - OZAKI_SLICE_BITS * (i + 1)))
-    return tuple(terms)
+        np.multiply(r, radix, out=r)    # |r| < 128, exact
+        np.trunc(r, out=q)              # integer slice, |q| <= 127
+        np.subtract(r, q, out=r)        # exact fractional remainder
+        np.ldexp(q, e - OZAKI_SLICE_BITS * (i + 1), out=stack[i])
+    return stack
 
 
-def emulated_fp64_split_terms(x: np.ndarray, n_terms: int) -> Tuple[np.ndarray, ...]:
+def emulated_fp64_split_terms(x: np.ndarray, n_terms: int) -> np.ndarray:
     """Decompose FP64 data into ``n_terms`` FP32-representable terms.
 
     Greedy residual extraction at FP32 granularity: ``t1 = fp32(x)``,
@@ -255,18 +288,21 @@ def emulated_fp64_split_terms(x: np.ndarray, n_terms: int) -> Tuple[np.ndarray, 
     emulated-FP64 compute mode, where FP32-term pair products (each
     exact: 24+24 <= 53 bits) are accumulated in FP64.
 
-    The terms are returned as float64 arrays holding FP32-representable
-    values, ready for exact pair products under float64 matmul.
+    The terms are returned as one C-contiguous ``(n_terms, *x.shape)``
+    float64 stack holding FP32-representable values, ready for exact
+    pair products under float64 matmul.
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
     residual = np.ascontiguousarray(x, dtype=np.float64)
-    terms = []
-    for _ in range(n_terms):
-        t = residual.astype(np.float32).astype(np.float64)
-        terms.append(t)
-        residual = residual - t
-    return tuple(terms)
+    stack = np.empty((n_terms,) + residual.shape)
+    for i in range(n_terms):
+        stack[i] = residual.astype(np.float32)  # widening back is exact
+        if i == 0:
+            residual = residual - stack[0]  # a new buffer: ``x`` stays intact
+        else:
+            np.subtract(residual, stack[i], out=residual)
+    return stack
 
 
 def max_relative_error(keep_bits: int) -> float:

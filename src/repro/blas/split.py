@@ -65,9 +65,10 @@ def split_gemm_real(
 ) -> np.ndarray:
     """Compute ``a @ b`` with split-precision inputs, FP32 accumulation.
 
-    Routed through the split-plan layer: operand splits are cached
-    (:mod:`repro.blas.plan`) and the component products run on the
-    fused engine (:mod:`repro.blas.workspace`) under the ambient
+    Routed through the split-plan layer: a :class:`repro.blas.plan.
+    PreparedOperand` serves its cached splits, a plain array is split
+    once for this call, and the component products run on the fused
+    engine (:mod:`repro.blas.workspace`) under the ambient
     :func:`repro.blas.backend.active_backend`.  Results are bitwise
     identical to :func:`split_gemm_reference` on the NumPy backend;
     other backends carry the documented tolerance contracts

@@ -1,32 +1,32 @@
 """Preallocated workspaces and the fused split-GEMM component engine.
 
 A BF16X3 ``sgemm`` is six FP32 component products; composed with the
-4M complex decomposition a single ``cgemm`` issues up to 24 separate
-``np.matmul`` calls, each allocating a fresh ``(m, n)`` temporary that
-is immediately folded into a running sum and discarded.  This module
-removes both costs:
+4M complex decomposition a single ``cgemm`` issues 24 of them.  This
+module runs them with no per-product allocation:
 
 * a thread-local :class:`Workspace` hands out reusable scratch buffers
-  keyed by ``(backend, tag, shape, dtype)`` — the product temporaries
-  and the gathered component stacks live there across calls;
-* :func:`fused_pair_products` evaluates all ``n(n+1)/2`` component
-  pairs either as **one batched 3-D** ``np.matmul`` over stacked
-  operands or as an ``out=``-accumulated loop (configurable; ``auto``
-  picks by stack size), then accumulates most-significant-first.
+  keyed by ``(backend, tag, shape, dtype)`` — the product temporary
+  lives there across calls;
+* :func:`fused_pair_products` evaluates the ``n(n+1)/2`` component
+  pairs as 2-D matmuls straight from the operands' term stacks: the
+  first product allocates the result, every later one is written into
+  the workspace buffer with ``out=`` and added in place, in pair order.
 
-Bit-exactness is the hard contract.  NumPy evaluates a stacked matmul
-slice-by-slice with the same inner kernel as the 2-D call *provided the
-slices are C-contiguous* (strided slices may take a different path —
-the engine therefore only ever batches freshly gathered contiguous
-stacks), ``out=`` writes the identical product bytes, and in-place
-``np.add`` is the same IEEE addition as the cold path's ``out + prod``.
-The accumulation visits pairs in :func:`repro.blas.split.component_pairs`
-order, so every intermediate sum matches the naive loop bit-for-bit.
-The golden property tests (``tests/property/test_prop_plan_golden.py``)
-enforce this against the naive reference for every mode.
+The term stacks come from :mod:`repro.blas.plan`, already C-contiguous
+with one term per slot, so the engine reads ``stack[i]`` as is: nothing
+is gathered or repacked per call.  The split, Ozaki and emulated-FP64
+families all run on this one engine.
 
-Backend dispatch: every array operation here (allocate, gather,
-batched matmul, in-place accumulate) goes through an
+Bit-exactness is the hard contract.  ``out=`` writes the identical
+product bytes the 2-D call returns, and in-place ``np.add`` is the same
+IEEE addition as the cold path's ``out + prod``.  The accumulation
+visits pairs in :func:`repro.blas.split.component_pairs` order, so
+every intermediate sum matches the naive loop bit-for-bit.  The golden
+property tests (``tests/property/test_prop_plan_golden.py``) enforce
+this against the naive reference for every mode.
+
+Backend dispatch: every array operation here (allocate, matmul,
+in-place accumulate) goes through an
 :class:`~repro.blas.backend.ArrayBackend`.  The NumPy backend's
 methods are the literal calls described above, so the bitwise contract
 is untouched; device backends trade it for the documented tolerance
@@ -35,9 +35,8 @@ contracts in docs/BACKENDS.md while keeping the identical pair order.
 
 from __future__ import annotations
 
-import contextlib
 import threading
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,16 +51,7 @@ __all__ = [
     "split_gemm_fused",
     "get_workspace",
     "clear_workspace",
-    "fused_mode",
-    "set_fused_mode",
-    "get_fused_mode",
 ]
-
-#: ``auto`` batches when the gathered stacks + product buffer fit here.
-BATCH_BYTES_CAP = 32 << 20
-
-_FUSED_MODES = ("auto", "batched", "loop")
-_fused_mode = "auto"
 
 _tls = threading.local()
 
@@ -138,44 +128,6 @@ def clear_workspace() -> None:
         ws.clear()
 
 
-def set_fused_mode(mode: str) -> None:
-    """Select the component-product evaluation strategy.
-
-    ``batched``: single stacked 3-D matmul; ``loop``: ``out=``-reusing
-    per-pair matmuls; ``auto`` (default): batched while the stacks fit
-    in :data:`BATCH_BYTES_CAP`, loop beyond.
-    """
-    global _fused_mode
-    if mode not in _FUSED_MODES:
-        raise ValueError(f"fused mode must be one of {_FUSED_MODES}, got {mode!r}")
-    _fused_mode = mode
-
-
-def get_fused_mode() -> str:
-    return _fused_mode
-
-
-@contextlib.contextmanager
-def fused_mode(mode: str) -> Iterator[None]:
-    """Scoped :func:`set_fused_mode` (the golden tests sweep both paths)."""
-    prev = _fused_mode
-    set_fused_mode(mode)
-    try:
-        yield
-    finally:
-        set_fused_mode(prev)
-
-
-def _should_batch(a_terms, b_terms, n_pairs: int, out_shape, be) -> bool:
-    if _fused_mode == "batched":
-        return True
-    if _fused_mode == "loop":
-        return False
-    slice_bytes = be.nbytes(a_terms[0]) + be.nbytes(b_terms[0])
-    prod_bytes = int(np.prod(out_shape)) * be.result_dtype(a_terms, b_terms).itemsize
-    return n_pairs * (slice_bytes + prod_bytes) <= BATCH_BYTES_CAP
-
-
 def fused_pair_products(
     a_terms,
     b_terms,
@@ -189,61 +141,31 @@ def fused_pair_products(
     a_terms, b_terms:
         C-contiguous stacked split terms, ``(n_terms, ..., m, k)`` and
         ``(n_terms, ..., k, n)`` (the trailing two axes are the matrix;
-        any leading batch axes broadcast through the batched matmul),
-        in ``backend``'s native array type.
+        any leading batch axes broadcast through the matmul), in
+        ``backend``'s native array type.
     pairs:
         1-based component pairs in most-significant-first order
         (:func:`repro.blas.split.component_pairs`).
     backend:
         The :class:`~repro.blas.backend.ArrayBackend` executing the
         products (default: NumPy — matching plain-ndarray callers).
-        Every operation below (gather, batched matmul, in-place
-        accumulate) goes through it; for NumPy each is the identical
-        call the pre-backend engine ran.
+        Every matmul and in-place accumulate goes through it.
 
     Returns a freshly allocated NumPy array (never a workspace buffer).
     """
     be = _backend.NUMPY_BACKEND if backend is None else backend
-    out_shape = np.broadcast_shapes(
-        tuple(a_terms.shape[1:-2]), tuple(b_terms.shape[1:-2])
-    ) + (
-        a_terms.shape[-2],
-        b_terms.shape[-1],
-    )
-    n_pairs = len(pairs)
-    if n_pairs == 1:
-        i, j = pairs[0]
-        return be.to_numpy(be.matmul(a_terms[i - 1], b_terms[j - 1]))
-    ws = get_workspace()
-    dtype = be.result_dtype(a_terms, b_terms)
-
-    if _should_batch(a_terms, b_terms, n_pairs, out_shape, be):
-        idx_a = np.array([i - 1 for i, _ in pairs])
-        idx_b = np.array([j - 1 for _, j in pairs])
-        # Workspace keys/allocations speak NumPy dtypes; the stacks are
-        # backend-native (a torch tensor's .dtype would not survive the
-        # np.dtype() in Workspace.get), so translate via the backend.
-        a_stack = ws.get(
-            "a_stack", (n_pairs,) + tuple(a_terms.shape[1:]), be.np_dtype(a_terms), be
-        )
-        b_stack = ws.get(
-            "b_stack", (n_pairs,) + tuple(b_terms.shape[1:]), be.np_dtype(b_terms), be
-        )
-        be.take(a_terms, idx_a, out=a_stack)
-        be.take(b_terms, idx_b, out=b_stack)
-        prods = ws.get("prods", (n_pairs,) + out_shape, dtype, be)
-        be.batched_matmul(a_stack, b_stack, out=prods)
-        out = be.copy(prods[0])
-        for p in range(1, n_pairs):
-            be.add_(out, prods[p])
-        return be.to_numpy(out)
-
     i0, j0 = pairs[0]
     out = be.matmul(a_terms[i0 - 1], b_terms[j0 - 1])
-    prod = ws.get("prod", out_shape, dtype, be)
-    for i, j in pairs[1:]:
-        be.matmul(a_terms[i - 1], b_terms[j - 1], out=prod)
-        be.add_(out, prod)
+    if len(pairs) > 1:
+        # Workspace keys/allocations speak NumPy dtypes; the stacks are
+        # backend-native (a torch tensor's .dtype would not survive the
+        # np.dtype() in Workspace.get), so ask the backend.
+        prod = get_workspace().get(
+            "prod", tuple(out.shape), be.result_dtype(a_terms, b_terms), be
+        )
+        for i, j in pairs[1:]:
+            be.matmul(a_terms[i - 1], b_terms[j - 1], out=prod)
+            be.add_(out, prod)
     return be.to_numpy(out)
 
 

@@ -280,6 +280,10 @@ class BlasSweep:
         proportion to their product counts — which is itself a useful
         check that the emulation does the work it claims.
 
+        Each repeat passes plain arrays, so every timing includes the
+        operands' rounding and splitting: GEMMs do not cache plain
+        operands (only :func:`repro.blas.prepare`-d ones).
+
         ``max_workers > 1`` times the modes concurrently (they are
         independent; each call passes its mode explicitly).  Use it for
         throughput when scanning many shapes — for publication-grade

@@ -19,11 +19,12 @@ energy is a pointwise mesh sum (a streaming kernel, not BLAS).
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.blas.gemm import call_site, gemm
+from repro.blas.plan import PreparedOperand
 from repro.dcmesh.mesh import Mesh
 
 __all__ = ["EnergyBreakdown", "calc_energy"]
@@ -41,7 +42,7 @@ class EnergyBreakdown:
 
 def calc_energy(
     psi: np.ndarray,
-    psi0: np.ndarray,
+    psi0: Union[np.ndarray, PreparedOperand],
     occupations: np.ndarray,
     mesh: Mesh,
     v_eff: np.ndarray,
@@ -52,7 +53,9 @@ def calc_energy(
     """Evaluate the energy of the current LFD state.
 
     Parameters mirror the DCMESH internals: ``psi`` is the propagating
-    wavefunction matrix, ``psi0`` the SCF reference, ``h_nl_sub`` the
+    wavefunction matrix, ``psi0`` the SCF reference (a plain array, or
+    the frozen run's :class:`~repro.blas.plan.PreparedOperand` so its
+    split is reused across steps), ``h_nl_sub`` the
     FP64-built nonlocal subspace operator cast to storage precision,
     ``v_eff`` the frozen effective potential of the current SCF block
     and ``a_field`` the instantaneous laser vector potential.
@@ -80,7 +83,7 @@ def calc_energy(
 
     with call_site("calc_energy"):
         k = gemm(psi, tpsi, trans_a="C", alpha=dv)         # (N_orb, N_orb, N_grid)
-        s = gemm(np.asarray(psi0), psi, trans_a="C", alpha=dv)
+        s = gemm(psi0, psi, trans_a="C", alpha=dv)
         m = gemm(np.asarray(h_nl_sub, dtype=psi.dtype), s)  # small
 
     ekin = float(np.real(np.diagonal(k)) @ f)

@@ -84,9 +84,10 @@ class NonlocalPropagator:
         self.w = w.astype(psi0.dtype, copy=False)
         # Psi(0) is frozen for the whole SCF block, so its conversion
         # work (contiguous parts, split terms) is prepared once and
-        # shared by all three GEMMs of all ~500 steps.  prepare() is
-        # identity-keyed: successive propagators built on the same
-        # psi0 array (one per SCF block) reuse the same plan.
+        # shared by all ~500 steps; Simulation.run hands this plan to
+        # calc_energy and remap_occ too.  prepare() is identity-keyed:
+        # successive propagators built on the same psi0 array (one per
+        # SCF block) reuse the same plan.
         self.psi0_plan = prepare(self.psi0)
         self.w_plan = prepare(self.w)
         # Baseline fingerprints now (one read-only pass each): they are

@@ -22,10 +22,12 @@ unitary propagation); ``W``'s diagonal is the per-orbital excitation.
 from __future__ import annotations
 
 import dataclasses
+from typing import Union
 
 import numpy as np
 
 from repro.blas.gemm import call_site, gemm
+from repro.blas.plan import PreparedOperand
 from repro.dcmesh.mesh import Mesh
 
 __all__ = ["RemapResult", "remap_occ"]
@@ -43,7 +45,7 @@ class RemapResult:
 
 def remap_occ(
     psi: np.ndarray,
-    psi0: np.ndarray,
+    psi0: Union[np.ndarray, PreparedOperand],
     occupations: np.ndarray,
     mesh: Mesh,
 ) -> RemapResult:
@@ -54,14 +56,17 @@ def remap_occ(
     psi:
         Propagating orbitals ``(N_grid, N_orb)`` at LFD precision.
     psi0:
-        SCF reference orbitals, same shape/precision.
+        SCF reference orbitals, same shape/precision: a plain array
+        (split per call) or a :class:`~repro.blas.plan.PreparedOperand`,
+        whose occupied and virtual column blocks are cached child plans.
     occupations:
         Reference occupations (2.0 for the first ``N_occ`` columns).
     """
     psi = np.asarray(psi)
-    psi0 = np.asarray(psi0)
-    if psi.shape != psi0.shape:
-        raise ValueError(f"psi {psi.shape} and psi0 {psi0.shape} differ")
+    if not isinstance(psi0, PreparedOperand):
+        psi0 = PreparedOperand(psi0)
+    if psi.shape != psi0.array.shape:
+        raise ValueError(f"psi {psi.shape} and psi0 {psi0.array.shape} differ")
     f = np.asarray(occupations, dtype=np.float64)
     n_orb = psi.shape[1]
     n_occ = int(np.count_nonzero(f > 0))
@@ -75,9 +80,9 @@ def remap_occ(
 
     with call_site("remap_occ"):
         # Table VII shape: (m=N_occ, n=N_virt, k=N_grid).
-        p = gemm(psi[:, :n_occ], psi0[:, n_occ:], trans_a="C", alpha=dv)
+        p = gemm(psi[:, :n_occ], psi0.columns(n_occ, n_orb), trans_a="C", alpha=dv)
         # Remapped occupations of the initial occupied manifold.
-        q = gemm(psi0[:, :n_occ], psi[:, :n_occ], trans_a="C", alpha=dv)
+        q = gemm(psi0.columns(0, n_occ), psi[:, :n_occ], trans_a="C", alpha=dv)
         # Per-orbital excitation matrix (small).
         w = gemm(p, p, trans_b="C")
 

@@ -456,11 +456,13 @@ class Simulation:
         def observe(t_au: float, psi_now: np.ndarray, h_nl_sub64: np.ndarray) -> QDRecord:
             nonlocal etot0
             a = total_field(t_au)
+            # Psi(0) goes in as the block's prepared operand: its split
+            # is built once and reused by all three paper functions.
             e = calc_energy(
-                psi_now, psi0, occupations, mesh, v_eff, h_nl_sub64,
+                psi_now, nlp.psi0_plan, occupations, mesh, v_eff, h_nl_sub64,
                 a_field=a, device=self.device,
             )
-            r = remap_occ(psi_now, psi0, occupations, mesh)
+            r = remap_occ(psi_now, nlp.psi0_plan, occupations, mesh)
             j = current_density(
                 psi_now, occupations, mesh, a_field=a, polarization=pol,
                 device=self.device,

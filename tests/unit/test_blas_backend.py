@@ -42,7 +42,7 @@ from repro.blas.gemm import gemm
 from repro.blas.modes import ComputeMode, compute_mode
 from repro.blas.plan import operand_handle, prepare, release
 from repro.blas.verbose import format_verbose_line, mkl_verbose
-from repro.blas.workspace import Workspace, clear_workspace, fused_mode
+from repro.blas.workspace import Workspace, clear_workspace
 
 HAVE_TORCH = importlib.util.find_spec("torch") is not None
 
@@ -137,10 +137,6 @@ class TestNumpyBackendOps:
         assert caps.native_is_numpy
         assert caps.device == "cpu"
         assert NUMPY_BACKEND.cache_key == "numpy"
-
-    def test_np_dtype(self):
-        x = np.ones(3, dtype=np.complex64)
-        assert NUMPY_BACKEND.np_dtype(x) == np.dtype(np.complex64)
 
 
 class TestSelection:
@@ -432,36 +428,27 @@ class FakeDeviceBackend(ArrayBackend):
     def result_dtype(self, a, b):
         return np.result_type(a.arr.dtype, b.arr.dtype)
 
-    def np_dtype(self, x):
-        return x.dtype.np
-
     def matmul(self, a, b, out=None):
         if out is None:
             return _FakeArray(np.matmul(a.arr, b.arr))
         np.matmul(a.arr, b.arr, out=out.arr)
         return out
 
-    def take(self, x, indices, out):
-        np.take(x.arr, indices, axis=0, out=out.arr)
-        return out
-
     def add_(self, out, x):
         np.add(out.arr, x.arr, out=out.arr)
         return out
-
-    def copy(self, x):
-        return _FakeArray(x.arr.copy())
 
     def reduce(self, x, axis=None):
         return np.sum(x.arr, axis=axis)
 
 
 class TestFusedBatchedForeignDtype:
-    """Regression: the batched fused engine gathers *backend-native*
-    stacks, so the workspace request must translate their dtype through
-    ``np_dtype`` — passing the native ``.dtype`` (e.g. ``torch.float32``)
-    into the pool's ``np.dtype``-based key crashed every split-mode GEMM
-    with >1 component pair on non-NumPy-native backends."""
+    """Regression: the fused engine's workspace request must speak
+    NumPy dtypes while its operands are *backend-native* — passing the
+    native ``.dtype`` (e.g. ``torch.float32``) into the pool's
+    ``np.dtype``-based key crashed every split-mode GEMM with >1
+    component pair on non-NumPy-native backends.  Runs the one engine
+    on the fake-device backend."""
 
     MODES = [
         ComputeMode.FLOAT_TO_BF16X2,
@@ -473,7 +460,7 @@ class TestFusedBatchedForeignDtype:
     def test_batched_split_gemm_bitwise(self, mode):
         a = rng.standard_normal((9, 7)).astype(np.float32)
         b = rng.standard_normal((7, 8)).astype(np.float32)
-        with fused_mode("batched"), compute_mode(mode):
+        with compute_mode(mode):
             ref = gemm(a, b)
             with use_backend(FakeDeviceBackend()):
                 got = gemm(a, b)
@@ -485,23 +472,18 @@ class TestTorchBackendRegressions:
 
     pytestmark = pytest.mark.skipif(not HAVE_TORCH, reason="torch not installed")
 
-    def test_np_dtype_maps_torch_dtypes(self):
-        be = get_backend("torch-cpu")
-        native = be.to_native(np.ones(3, dtype=np.float32))
-        assert be.np_dtype(native) == np.dtype(np.float32)
-
     @pytest.mark.parametrize(
         "mode",
         [ComputeMode.FLOAT_TO_BF16X2, ComputeMode.FLOAT_TO_BF16X3],
         ids=lambda m: m.name,
     )
     def test_batched_fused_split_gemm(self, mode):
-        # The batched path gathers torch-native stacks into workspace
-        # buffers — this crashed when the pool keyed on torch dtypes.
+        # The engine writes torch-native products into a workspace
+        # buffer — this crashed when the pool keyed on torch dtypes.
         be = get_backend("torch-cpu")
         a = rng.standard_normal((9, 7)).astype(np.float32)
         b = rng.standard_normal((7, 8)).astype(np.float32)
-        with fused_mode("batched"), compute_mode(mode):
+        with compute_mode(mode):
             ref = gemm(a, b)
             with use_backend(be):
                 got = gemm(a, b)

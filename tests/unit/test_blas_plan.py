@@ -9,22 +9,16 @@ from repro.blas.plan import (
     PreparedOperand,
     lookup_anonymous,
     operand_handle,
-    plan_cache,
     plan_cache_clear,
-    plan_cache_enabled,
     plan_cache_info,
     prepare,
     release,
-    set_plan_cache,
 )
 from repro.blas.workspace import (
     Workspace,
     clear_workspace,
-    fused_mode,
     fused_pair_products,
-    get_fused_mode,
     get_workspace,
-    set_fused_mode,
 )
 from repro.types import Precision
 
@@ -158,11 +152,9 @@ class TestRegistry:
 class TestAnonymousCache:
     def setup_method(self):
         plan_cache_clear()
-        set_plan_cache(True)
 
     def teardown_method(self):
         plan_cache_clear()
-        set_plan_cache(True)
 
     def test_small_arrays_skip_cache(self, rng):
         x = rng.standard_normal((2, 2)).astype(np.float32)
@@ -183,14 +175,6 @@ class TestAnonymousCache:
         p1 = lookup_anonymous(x)
         x[0, 0] += 1.0
         assert lookup_anonymous(x) is not p1
-
-    def test_disable(self, rng):
-        n = int(np.sqrt(ANON_MIN_BYTES / 4)) + 2
-        x = rng.standard_normal((n, n)).astype(np.float32)
-        with plan_cache(False):
-            assert not plan_cache_enabled()
-            assert lookup_anonymous(x) is None
-        assert plan_cache_enabled()
 
 
 class TestGemmWithPlans:
@@ -286,12 +270,7 @@ class TestWorkspace:
         assert seen["ws"] is not ws_main
         clear_workspace()
 
-    def test_fused_mode_validation(self):
-        with pytest.raises(ValueError, match="fused mode"):
-            set_fused_mode("nope")
-        assert get_fused_mode() in ("auto", "batched", "loop")
-
-    def test_fused_pair_products_both_paths_bitwise(self, rng):
+    def test_fused_pair_products_bitwise(self, rng):
         from repro.blas.split import component_pairs
 
         a_terms = np.stack(
@@ -305,12 +284,8 @@ class TestWorkspace:
         for i, j in pairs:
             prod = np.matmul(a_terms[i - 1], b_terms[j - 1])
             naive = prod if naive is None else naive + prod
-        for mode in ("batched", "loop"):
-            with fused_mode(mode):
-                out = fused_pair_products(a_terms, b_terms, pairs)
-            np.testing.assert_array_equal(
-                out.view(np.uint32), naive.view(np.uint32)
-            )
+        out = fused_pair_products(a_terms, b_terms, pairs)
+        np.testing.assert_array_equal(out.view(np.uint32), naive.view(np.uint32))
 
     def test_fused_result_is_not_a_workspace_buffer(self, rng):
         from repro.blas.split import component_pairs
@@ -332,6 +307,49 @@ class TestOperandHandle:
         x = rng.standard_normal((3, 7)).astype(np.float32)
         h = operand_handle(x, "T", np.float32)
         assert h.shape == (7, 3)
+
+    def test_conjugate_handle_shape_allocates_nothing(self, rng):
+        # .shape is read on every gemm: it must not build a conjugated
+        # copy of the operand.
+        import tracemalloc
+
+        x = (rng.standard_normal((1024, 128)) + 1j).astype(np.complex64)
+        assert x.nbytes >= 1 << 20
+        h = operand_handle(x, "C", np.complex64)
+        tracemalloc.start()
+        try:
+            shape = h.shape
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert shape == (128, 1024)
+        assert peak < 4096  # bookkeeping only; a copy would be 1 MiB
+
+    def test_conjugate_parts_match_conjugating_packing(self, rng):
+        x = (rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))).astype(
+            np.complex64
+        )
+        x.imag[0, :4] = [0.0, -0.0, np.nan, -np.nan]
+        x.real[1, :2] = [np.nan, -0.0]
+        conj = np.swapaxes(x, -1, -2).conj()
+        plan = PreparedOperand(x)
+        for which, comp in (("re", conj.real), ("im", conj.imag)):
+            got = plan.part("C", np.complex64, which)
+            assert got.flags.c_contiguous
+            want = np.ascontiguousarray(comp, dtype=np.float32)
+            np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+        np.testing.assert_array_equal(
+            plan.oriented("C", np.complex64).view(np.uint64),
+            np.ascontiguousarray(conj).view(np.uint64),
+        )
+
+    def test_conjugate_parts_of_real_operand(self, rng):
+        # A real operand in a complex GEMM: its conjugate's imaginary
+        # part is -0.0, exactly what conjugating the cast copy gives.
+        x = rng.standard_normal((4, 6)).astype(np.float32)
+        want = np.ascontiguousarray(x.astype(np.complex64).T.conj().imag)
+        got = PreparedOperand(x).part("C", np.complex64, "im")
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
     def test_split_gemm_real_accepts_plans(self, rng):
         from repro.blas.split import split_gemm_real, split_gemm_reference
@@ -419,3 +437,141 @@ class TestSplitExtension:
         finally:
             disable()
         assert t.counter_value("blas.plan.invalidated") == 1.0
+
+
+class TestColumnBlocks:
+    """``columns()`` children: cached, fresh after a parent change, and
+    bitwise the plain slice."""
+
+    def _psi0(self, rng):
+        return (rng.standard_normal((40, 12)) + 1j * rng.standard_normal((40, 12))).astype(
+            np.complex64
+        )
+
+    def test_child_is_cached_view(self, rng):
+        x = self._psi0(rng)
+        plan = PreparedOperand(x)
+        child = plan.columns(8, 12)
+        assert plan.columns(8, 12) is child
+        assert np.shares_memory(child.array, x)
+        np.testing.assert_array_equal(child.array, x[:, 8:12])
+
+    def test_invalidate_drops_children(self, rng):
+        plan = PreparedOperand(self._psi0(rng))
+        child = plan.columns(0, 8)
+        plan.invalidate()
+        assert plan.columns(0, 8) is not child
+
+    def test_refresh_after_parent_write_drops_children(self, rng):
+        x = self._psi0(rng)
+        plan = PreparedOperand(x)
+        plan.fingerprint()
+        child = plan.columns(0, 8)
+        stale = child.split_stack("C", 7, 3, part="re", dtype=np.complex64)
+        assert plan.refresh_if_changed() is False
+        assert plan.columns(0, 8) is child
+        x[3, 2] += 1.0
+        assert plan.refresh_if_changed() is True
+        fresh = plan.columns(0, 8)
+        assert fresh is not child
+        got = fresh.split_stack("C", 7, 3, part="re", dtype=np.complex64)
+        assert not np.array_equal(got, stale)
+
+    @pytest.mark.parametrize(
+        "mode", ["STANDARD", "FLOAT_TO_BF16X3", "OZAKI_INT8", "COMPLEX_3M"]
+    )
+    def test_gemm_on_child_equals_plain_slice(self, rng, mode):
+        x = self._psi0(rng)
+        psi = self._psi0(rng)
+        plan = PreparedOperand(x)
+        for _ in range(2):  # second pass is served from the cached child
+            got_p = gemm(psi[:, :8], plan.columns(8, 12), trans_a="C", mode=mode)
+            got_q = gemm(plan.columns(0, 8), psi[:, :8], trans_a="C", mode=mode)
+            want_p = gemm(psi[:, :8], x[:, 8:], trans_a="C", mode=mode)
+            want_q = gemm(x[:, :8], psi[:, :8], trans_a="C", mode=mode)
+            np.testing.assert_array_equal(got_p.view(np.uint64), want_p.view(np.uint64))
+            np.testing.assert_array_equal(got_q.view(np.uint64), want_q.view(np.uint64))
+
+    def test_children_keep_only_split_forms(self, rng):
+        x = self._psi0(rng)
+        psi = self._psi0(rng)
+        plan = PreparedOperand(x)
+        for mode in ("STANDARD", "COMPLEX_3M", "FLOAT_TO_TF32", "FLOAT_TO_BF16X3"):
+            for _ in range(2):
+                gemm(psi[:, :8], plan.columns(8, 12), trans_a="C", mode=mode)
+                gemm(plan.columns(0, 8), psi[:, :8], trans_a="C", mode=mode)
+        for child in (plan.columns(8, 12), plan.columns(0, 8)):
+            kinds = {key[0] for key in child._derived}
+            assert "split" in kinds and not kinds & {"oriented", "part"}
+
+    @pytest.mark.parametrize("mode", ["STANDARD", "COMPLEX_3M"])
+    def test_remap_on_prepared_psi0_retains_no_block_copies(self, rng, mode):
+        # STANDARD and 3M multiply the blocks' packed copies and parts
+        # directly; like a plain array's, they must not outlive the call.
+        import tracemalloc
+        from types import SimpleNamespace
+
+        from repro.blas.modes import compute_mode
+        from repro.dcmesh.occupation import remap_occ
+
+        shape = (8192, 16)  # 1 MiB of complex64
+        x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(
+            np.complex64
+        )
+        psi = x + np.complex64(1e-3)
+        occupations = np.array([2.0] * 6 + [0.0] * 10)
+        mesh = SimpleNamespace(dv=1.0)
+        plan = PreparedOperand(x)
+        with compute_mode(mode):
+            want = remap_occ(psi, x, occupations, mesh)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                got = remap_occ(psi, plan, occupations, mesh)
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        assert retained < x.nbytes // 16  # the child views, not the blocks
+        assert got.nexc == want.nexc
+        np.testing.assert_array_equal(got.occ_remapped, want.occ_remapped)
+
+
+class TestRunReusesPsi0:
+    """A BF16X3 ``Simulation.run`` splits Psi(0) once, not per step."""
+
+    #: Fresh operands per QD step (each is split into its re and im
+    #: parts by the 4M decomposition): nlp_prop's psi, S and T;
+    #: calc_energy's psi^H, T_A psi, psi, H_nl and S; remap_occ's
+    #: psi_occ^H, psi_occ, P and P^H.
+    FRESH_PER_STEP = 12
+    #: Split once per run: Psi(0)^H and Psi(0) (nlp_prop, shared by
+    #: calc_energy) and its virtual and occupied column blocks.
+    PSI0_FORMS = 4
+    #: Fresh at the step-0 observation (calc_energy + remap_occ).
+    FRESH_STEP0 = 9
+
+    @staticmethod
+    def _full_splits(t):
+        return sum(
+            v
+            for (name, labels), v in t.counters.items()
+            if name == "blas.plan.split" and ("result", "full") in labels
+        )
+
+    def test_split_counts(self, tiny_sim):
+        from repro.telemetry.registry import disable, enable
+
+        assert tiny_sim.config.nscf >= 4  # one SCF block, so one W
+        counts = {}
+        for n in (2, 4):
+            t = enable()
+            try:
+                tiny_sim.run(mode="FLOAT_TO_BF16X3", n_steps=n)
+            finally:
+                disable()
+            assert t.counter_total("blas.plan.anon") == 0
+            counts[n] = self._full_splits(t)
+        per_step = (counts[4] - counts[2]) / 2
+        assert per_step == 2 * self.FRESH_PER_STEP
+        once = counts[2] - 2 * per_step
+        assert once == 2 * (self.FRESH_STEP0 + self.PSI0_FORMS + 1)  # + W

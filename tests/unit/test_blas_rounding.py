@@ -74,9 +74,17 @@ class TestRoundMantissa:
         assert np.isnan(out[2])
 
     def test_nan_payload_preserved(self):
-        x = np.array([np.nan], dtype=np.float32)
-        out = round_fp32_to_tf32(x)
-        assert x.view(np.uint32)[0] == out.view(np.uint32)[0]
+        # Low-payload NaNs would round to Inf (or wrap past 0xFFFFFFFF)
+        # without the restore; finite neighbours are still rounded.
+        bits = np.array(
+            [0x7FC00000, 0x7F800001, 0xFFFFFFFF, 0xFF800001, 0x3FC00001],
+            dtype=np.uint32,
+        )
+        x = bits.view(np.float32)
+        for keep in (7, 10):
+            out = round_mantissa(x, keep)
+            np.testing.assert_array_equal(out.view(np.uint32)[:4], bits[:4])
+            assert out[4] == np.float32(1.5)
 
     def test_negative_values_symmetric(self):
         x = np.array([1 / 3, 3.14159], dtype=np.float32)

@@ -55,6 +55,17 @@ class TestProjection:
         b = ProjectionQMC(h, 6, seed=5).run(n_steps=50, mode="FLOAT_TO_BF16")
         assert a.energies == b.energies
 
+    def test_run_sees_in_place_edits_of_frozen_operands(self, h):
+        # b and h_storage are prepared once; a later write must not be
+        # served the splits cached from the old bytes.
+        qmc = ProjectionQMC(h, 6, tau=0.1, seed=2)
+        other = ProjectionQMC(h, 6, tau=0.2, seed=2)
+        qmc.run(n_steps=20, mode="FLOAT_TO_BF16X3")  # caches b's split
+        qmc.b[...] = other.b
+        got = qmc.run(n_steps=20, mode="FLOAT_TO_BF16X3")
+        want = other.run(n_steps=20, mode="FLOAT_TO_BF16X3")
+        assert got.energies == want.energies
+
     def test_mode_sensitivity_ladder(self, h):
         qmc = ProjectionQMC(h, n_particles=6, tau=0.1, seed=1)
         ref = qmc.run(n_steps=200, mode=ComputeMode.STANDARD)
