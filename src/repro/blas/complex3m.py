@@ -26,13 +26,16 @@ same way for ``cgemm``).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
 
 from repro.blas import backend as _backend
+from repro.blas.plan import PAIR
 from repro.telemetry.provenance import current_site_id as _current_site_id
 from repro.telemetry.registry import active as _telemetry_active
+from repro.types import Precision
 
 __all__ = ["gemm_4m", "gemm_3m", "gemm_4m_split_planned", "gemm_3m_planned"]
 
@@ -123,22 +126,51 @@ def gemm_3m(
 # ----------------------------------------------------------------------
 
 
+#: Largest ``(2, 2, m, n)`` block of part products, in bytes, that
+#: :func:`gemm_4m_split_planned` computes with one broadcast matmul per
+#: component pair.  Above it the four part products run one after the
+#: other, so fewer ``m x n`` accumulators are live at once: batching
+#: ``nlp_prop``'s ``N_grid x N_orb`` Psi update raises that GEMM's
+#: traced peak from 2.5 to 6.0 times Psi's bytes under EMULATED_FP64
+#: (2.0 to 3.0 under BF16X3).
+BATCH_PAIRS_MAX_BYTES = 256 << 10
+
+
 def gemm_4m_split_planned(a_handle, b_handle, precision, n_terms, backend=None) -> np.ndarray:
     """4M complex GEMM with split-precision component real GEMMs.
 
     This is ``gemm_4m(a, b, real_gemm=split_gemm_real)`` routed through
-    prepared operands: the four real GEMMs share each part's split
-    stack (built once) and run on the fused engine — a BF16X3 ``cgemm``
-    is 24 ``out=`` matmuls into one reused workspace buffer.  The
-    component products execute on ``backend`` (default: the ambient
-    :func:`repro.blas.backend.active_backend`); the Cr/Ci assembly is
-    cheap element-wise work and stays in NumPy.
+    prepared operands: each operand's re/im pair is split once (one
+    stack, see :data:`repro.blas.plan.PAIR`) and the component products
+    run on the fused engine.  While the ``(2, 2, m, n)`` block stays
+    under :data:`BATCH_PAIRS_MAX_BYTES`, each component pair is one
+    broadcast matmul computing all four part products, and ``Cr`` and
+    ``Ci`` are written from the block straight into the output; larger
+    outputs run the four part products one at a time.  Every part
+    product is the same 2-D product, accumulated in the same pair
+    order, either way.  The component products execute on ``backend``
+    (default: the ambient :func:`repro.blas.backend.active_backend`);
+    the Cr/Ci assembly is cheap element-wise work and stays in NumPy.
     """
     from repro.blas.workspace import split_gemm_fused
 
     be = _backend.active_backend() if backend is None else backend
     _count_kernel("4m_split_planned")
     cdt = np.dtype(a_handle.dtype)
+    out_shape = np.broadcast_shapes(a_handle.shape[:-2], b_handle.shape[:-2]) + (
+        a_handle.shape[-2],
+        b_handle.shape[-1],
+    )
+    # Ozaki and emulated-FP64 products accumulate in float64.
+    acc_bytes = 8 if precision in (Precision.INT8, Precision.FP64) else 4
+    if 4 * acc_bytes * math.prod(out_shape) <= BATCH_PAIRS_MAX_BYTES:
+        block = split_gemm_fused(
+            a_handle, b_handle, precision, n_terms, part_a=PAIR, part_b=PAIR, backend=be
+        )
+        out = np.empty(block.shape[2:], dtype=cdt)
+        np.subtract(block[0, 0], block[1, 1], out=out.real)
+        np.add(block[0, 1], block[1, 0], out=out.imag)
+        return out
     cr = split_gemm_fused(
         a_handle, b_handle, precision, n_terms, part_a="re", part_b="re", backend=be
     ) - split_gemm_fused(

@@ -13,7 +13,10 @@ Two layers serve the GEMMs:
 * :class:`PreparedOperand` — wraps one array and memoises every derived
   form the GEMM kernels ask for, keyed by ``(kind, trans, dtype, ...)``,
   including cached child plans of column blocks (:meth:`columns`),
-  which keep only their split stacks.
+  which keep only their split stacks and slice their parent's cached
+  forms where they can.  A complex operand's real and imaginary parts
+  are packed, split and stacked together (:data:`PAIR`), so each
+  orientation of an operand is converted in one call.
   Mutating the array without telling the plan would silently
   desynchronise the cache, so the class offers an explicit
   :meth:`invalidate` plus a content fingerprint (:meth:`fingerprint`,
@@ -25,6 +28,9 @@ Two layers serve the GEMMs:
 
 A plain ``ndarray`` passed to a GEMM gets a throwaway plan for that one
 call: nothing is hashed, and its forms are derived once per call.
+``Simulation.run`` wraps each observed ``Psi(t)`` in one unregistered
+``keep_bases=False`` plan instead, so the GEMMs of one observation
+share its split stacks and free them with the plan.
 
 No GEMM entry point consults the anonymous content-keyed LRU
 (:func:`lookup_anonymous`); its statistics stay readable through
@@ -48,6 +54,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import weakref
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple, Union
 
@@ -65,6 +72,7 @@ from repro.telemetry.registry import active as _telemetry_active
 __all__ = [
     "PreparedOperand",
     "OrientedOperand",
+    "PAIR",
     "prepare",
     "release",
     "operand_handle",
@@ -124,8 +132,21 @@ def _op_shape(shape: Tuple[int, ...], trans: str) -> Tuple[int, ...]:
 
 
 #: Kinds of derived form a GEMM reads directly or splits from: the
-#: packed/conjugated operand and its real/imaginary parts.
-_BASE_KINDS = ("oriented", "part")
+#: packed/conjugated operand, its real/imaginary parts and their pair.
+_BASE_KINDS = ("oriented", "part", "parts")
+
+#: ``part`` label of a complex operand's real and imaginary parts taken
+#: together.  The split families convert the ``(2, ...)`` pair
+#: (:meth:`PreparedOperand.parts`) in one call into an
+#: ``(n_terms, 2, ...)`` stack; ``'re'``/``'im'`` requests are views into
+#: it, so no part is converted twice.
+PAIR = "re/im"
+_PAIR_INDEX = {"re": 0, "im": 1}
+
+#: Kinds a :meth:`PreparedOperand.columns` child can slice from its
+#: parent's cached form: every form that is elementwise in the operand,
+#: plus Ozaki stacks when the cut runs across their fibres.
+_SLICEABLE_KINDS = ("oriented", "parts", "split", "ozaki", "efp64")
 
 
 class PreparedOperand:
@@ -137,13 +158,25 @@ class PreparedOperand:
     cached form is byte-identical to what an uncached call would build.
 
     With ``keep_bases=False`` the plan keeps only its split-family forms
-    (split, Ozaki and emulated-FP64 stacks); the base forms it splits
-    from, which STANDARD and 3M multiply directly, are derived once per
-    GEMM call (see :meth:`_for_call`) and dropped with it, exactly as for
-    a plain array.  :meth:`columns` children are made this way.
+    (split, Ozaki and emulated-FP64 stacks), without the residuals that
+    would let a split be extended to more terms; the base forms it
+    splits from, which STANDARD and 3M multiply directly, are derived
+    once per GEMM call (see :meth:`_for_call`) and dropped with it,
+    exactly as for a plain array.  :meth:`columns` children and the
+    per-step plan of ``Psi(t)`` are made this way.
     """
 
-    __slots__ = ("array", "version", "_derived", "_bases", "_lock", "_fingerprint")
+    __slots__ = (
+        "array",
+        "version",
+        "_derived",
+        "_bases",
+        "_lock",
+        "_fingerprint",
+        "_parent",
+        "_cols",
+        "__weakref__",
+    )
 
     def __init__(self, array: np.ndarray, *, keep_bases: bool = True):
         self.array = np.asarray(array)
@@ -155,24 +188,58 @@ class PreparedOperand:
         )
         self._lock = threading.Lock()
         self._fingerprint: Optional[bytes] = None
+        # A column block's parent plan (held weakly) and its column range.
+        self._parent: Optional[weakref.ref] = None
+        self._cols: Optional[Tuple[int, int]] = None
 
     def _for_call(self) -> "PreparedOperand":
         """The plan one GEMM call reads this operand's forms from.
 
         A plan that keeps its base forms is its own.  Otherwise this is
         a throwaway plan over the same array that shares this plan's
-        lock and cached forms but holds base forms in its own dict, so
-        a call derives each at most once and nothing outlives the call.
+        lock, cached forms and parent but holds base forms in its own
+        dict, so a call derives each at most once and nothing outlives
+        the call.
         """
         if self._bases is not None:
             return self
         view = PreparedOperand(self.array)  # its _bases: a fresh dict
         view._derived = self._derived
         view._lock = self._lock
+        view._parent = self._parent
+        view._cols = self._cols
         return view
 
     def _store(self, kind: str) -> Optional[Dict[tuple, object]]:
         return self._bases if kind in _BASE_KINDS else self._derived
+
+    def _from_parent(self, key: tuple):
+        """Form ``key`` of this column block, sliced from its parent's.
+
+        ``None`` unless this plan is a :meth:`columns` child whose live
+        parent has cached that very form.  Ozaki stacks are sliced only
+        when the cut runs across their fibres (``'T'``/``'C'`` for
+        operand ``a``, ``'N'`` for ``b``); along them, the block's fibre
+        scales differ from the parent's.  Every other form is elementwise
+        in the operand, so the slice holds exactly the values the block
+        would derive itself: a row view for ``'T'``/``'C'``, a packed
+        copy of the columns for ``'N'``.
+        """
+        kind = key[0]
+        parent = self._parent() if self._parent is not None else None
+        if parent is None or kind not in _SLICEABLE_KINDS:
+            return None
+        trans = key[1]
+        if kind == "ozaki" and (trans == "N") != (key[4] == "b"):
+            return None
+        store = parent._store(kind)
+        form = None if store is None else store.get(key)
+        if form is None:
+            return None
+        start, stop = self._cols
+        if trans == "N":
+            return np.ascontiguousarray(form[..., start:stop])
+        return form[..., start:stop, :]
 
     # -- lifecycle -----------------------------------------------------
 
@@ -227,14 +294,16 @@ class PreparedOperand:
         got = None if store is None else store.get(key)
         t = _telemetry_active()
         if got is None:
+            got = self._from_parent(key)
             if t is not None:
                 t.count(
                     "blas.plan.derive",
-                    result="build",
+                    result="build" if got is None else "slice",
                     kind=key[0],
                     site=_current_site_id() or "-",
                 )
-            got = builder()
+            if got is None:
+                got = builder()
             if store is not None:
                 with self._lock:
                     got = store.setdefault(key, got)
@@ -260,12 +329,11 @@ class PreparedOperand:
 
         return self._derive(("oriented", trans, dtype.str), build)
 
-    def part(self, trans: str, dtype: np.dtype, which: str) -> np.ndarray:
-        """Contiguous real/imag part of ``op(A)`` (4M/3M decomposition).
+    def parts(self, trans: str, dtype: np.dtype) -> np.ndarray:
+        """Real and imaginary parts of ``op(A)`` as one ``(2, ...)`` array.
 
-        ``which`` is ``'re'``, ``'im'`` or ``'re+im'`` (the 3M sum
-        term).  ``dtype`` is the *complex* working dtype; the parts are
-        stored in the matching real dtype, exactly as
+        ``dtype`` is the *complex* working dtype; the parts are stored in
+        the matching real dtype, exactly as
         :func:`repro.blas.complex3m._parts` packs them.  ``'C'`` reads
         both parts from the swapped view and packs ``-im`` directly: a
         sign flip is exact, so this is bitwise the conjugated copy's
@@ -275,29 +343,67 @@ class PreparedOperand:
         rdt = np.float64 if dtype == np.complex128 else np.float32
 
         def build():
-            if which == "re+im":
-                return self.part(trans, dtype, "re") + self.part(trans, dtype, "im")
             op = _swapped(self.array.astype(dtype, copy=False), trans)
-            if which == "re":
-                return np.ascontiguousarray(op.real, dtype=rdt)
+            out = np.empty((2,) + op.shape, rdt)
+            np.copyto(out[0], op.real)
             if trans == "C":
-                return np.negative(op.imag, out=np.empty(op.shape, rdt))
-            return np.ascontiguousarray(op.imag, dtype=rdt)
+                np.negative(op.imag, out=out[1])
+            else:
+                np.copyto(out[1], op.imag)
+            return out
+
+        return self._derive(("parts", trans, dtype.str), build)
+
+    def part(self, trans: str, dtype: np.dtype, which: str) -> np.ndarray:
+        """Contiguous real/imag part of ``op(A)`` (4M/3M decomposition).
+
+        ``which`` is ``'re'`` or ``'im'`` (a view into :meth:`parts`) or
+        ``'re+im'`` (the 3M sum term).
+        """
+        dtype = np.dtype(dtype)
+        if which in _PAIR_INDEX:
+            return self.parts(trans, dtype)[_PAIR_INDEX[which]]
+        if which != "re+im":
+            raise ValueError(f"which must be 're', 'im' or 're+im', got {which!r}")
+
+        def build():
+            pair = self.parts(trans, dtype)
+            return pair[0] + pair[1]
 
         return self._derive(("part", trans, dtype.str, which), build)
+
+    def _family_base(self, trans: str, part, real_dtype, pair_dtype) -> np.ndarray:
+        """What a split family converts: ``op(A)`` cast to ``real_dtype``
+        (``part=None``) or the re/im pair of ``op(A)`` in ``pair_dtype``
+        (``part=PAIR``)."""
+        if part is None:
+            return self.oriented(trans, real_dtype)
+        if part == PAIR:
+            return self.parts(trans, pair_dtype)
+        raise ValueError(f"part must be None, 're', 'im' or {PAIR!r}, got {part!r}")
 
     def columns(self, start: int, stop: int) -> "PreparedOperand":
         """Cached child plan of the column block ``array[..., start:stop]``.
 
-        The child wraps a view, so it derives exactly the forms a plain
-        slice would.  It is stored among this plan's derived forms:
-        :meth:`invalidate` (and a :meth:`refresh_if_changed` that finds
-        the bytes changed) drops it with everything else.
+        The child wraps a view and keeps only split-family forms
+        (``keep_bases=False``).  It serves each form from this plan's
+        cached one where it can (:meth:`_from_parent`) and otherwise
+        derives it from its view, so either way it holds exactly the
+        forms a plain slice would.  It refers to this plan weakly: a
+        strong back-reference would make every plan with children a
+        reference cycle, freed only by the cycle collector.  It is
+        stored among this plan's derived forms: :meth:`invalidate` (and
+        a :meth:`refresh_if_changed` that finds the bytes changed) drops
+        it with everything else.
         """
-        return self._derive(
-            ("columns", start, stop),
-            lambda: PreparedOperand(self.array[..., start:stop], keep_bases=False),
-        )
+
+        def build():
+            child = PreparedOperand(self.array[..., start:stop], keep_bases=False)
+            child._parent = weakref.ref(self)
+            child._cols = (start, stop)
+            return child
+
+        return self._derive(("columns", start, stop), build)
 
     def split_stack(
         self,
@@ -308,11 +414,13 @@ class PreparedOperand:
         part: Optional[str] = None,
         dtype: Optional[np.dtype] = None,
     ) -> np.ndarray:
-        """Stacked split terms, shape ``(n_terms, *op_shape)``, C-contiguous.
+        """Stacked split terms, shape ``(n_terms, *op_shape)``.
 
-        ``part=None`` splits the (real) operand itself; ``'re'``/``'im'``
-        split the complex decomposition's parts.  Each ``stack[i]`` is a
-        contiguous view bit-identical to ``split_terms(...)[i]``.
+        ``part=None`` splits the (real) operand itself; :data:`PAIR`
+        splits the complex operand's re/im pair into one
+        ``(n_terms, 2, *op_shape)`` stack, and ``'re'``/``'im'`` return
+        views into that stack.  Each ``stack[i]`` is a C-contiguous
+        array bit-identical to ``split_terms(...)[i]``.
 
         Splits of the same operand at different term counts share work:
         because term ``i`` of a split depends only on the running
@@ -323,43 +431,21 @@ class PreparedOperand:
         the path a precision escalation (BF16 → BF16X2/X3) takes, so a
         mode switch never re-prepares the whole operand.  Extension is
         bitwise-exact: the FP32 rounding/subtraction sequence is the
-        same one a from-scratch split would run.
+        same one a from-scratch split would run.  Only plans that keep
+        their base forms keep residuals.
         """
+        if part in _PAIR_INDEX:
+            pair = self.split_stack(trans, keep_bits, n_terms, part=PAIR, dtype=dtype)
+            return pair[:, _PAIR_INDEX[part]]
         key = ("split", trans, keep_bits, n_terms, part)
-        t = _telemetry_active()
         got = self._derived.get(key)
-        if got is not None:
-            if t is not None:
-                t.count(
-                    "blas.plan.split",
-                    result="hit",
-                    mode=_split_mode_label(keep_bits, n_terms),
-                    site=_current_site_id() or "-",
-                )
-            return got
-
-        # Cache miss: extend the widest cached shorter split (needs its
-        # residual) before falling back to a from-scratch decomposition.
-        prev_stack = prev_resid = None
-        prev_n = 0
-        for n in range(n_terms - 1, 0, -1):
-            resid = self._derived.get(("split_resid", trans, keep_bits, n, part))
-            stack = self._derived.get(("split", trans, keep_bits, n, part))
-            if resid is not None and stack is not None:
-                prev_stack, prev_resid, prev_n = stack, resid, n
-                break
-        if prev_stack is not None:
-            built, residual = extend_split(
-                prev_stack, prev_resid, keep_bits, n_terms - prev_n
-            )
-            result = "extend"
-        else:
-            if part is None:
-                base = self.oriented(trans, np.float32)
-            else:
-                base = self.part(trans, np.dtype(dtype or np.complex64), part)
-            built, residual = split_terms_residual(base, keep_bits, n_terms)
-            result = "full"
+        result = "hit"
+        if got is None:
+            got = self._from_parent(key)
+            result = "slice"
+        if got is None:
+            got, result = self._build_split(trans, keep_bits, n_terms, part, dtype)
+        t = _telemetry_active()
         if t is not None:
             t.count(
                 "blas.plan.split",
@@ -367,12 +453,34 @@ class PreparedOperand:
                 mode=_split_mode_label(keep_bits, n_terms),
                 site=_current_site_id() or "-",
             )
-        with self._lock:
-            got = self._derived.setdefault(key, built)
-            self._derived.setdefault(
-                ("split_resid", trans, keep_bits, n_terms, part), residual
-            )
+        if result != "hit":
+            with self._lock:
+                got = self._derived.setdefault(key, got)
         return got
+
+    def _build_split(self, trans, keep_bits, n_terms, part, dtype):
+        """A new split stack and how it was made (``'extend'``/``'full'``)."""
+        # Extend the widest cached shorter split (needs its residual)
+        # before falling back to a from-scratch decomposition.
+        for n in range(n_terms - 1, 0, -1):
+            resid = self._derived.get(("split_resid", trans, keep_bits, n, part))
+            stack = self._derived.get(("split", trans, keep_bits, n, part))
+            if resid is not None and stack is not None:
+                built, residual = extend_split(stack, resid, keep_bits, n_terms - n)
+                result = "extend"
+                break
+        else:
+            base = self._family_base(
+                trans, part, np.float32, np.dtype(dtype or np.complex64)
+            )
+            built, residual = split_terms_residual(base, keep_bits, n_terms)
+            result = "full"
+        if self._bases is self._derived:
+            with self._lock:
+                self._derived.setdefault(
+                    ("split_resid", trans, keep_bits, n_terms, part), residual
+                )
+        return built, result
 
     def ozaki_stack(
         self,
@@ -388,20 +496,25 @@ class PreparedOperand:
         ``operand`` selects the contraction axis of the fibre scaling:
         ``'a'`` scales per row (axis -1), ``'b'`` per column (axis -2)
         — the orientation that keeps every output dot product on one
-        fixed power-of-two scale per slice pair.  Derivation replicates
-        :func:`repro.blas.rounding.ozaki_slice_terms` on the exact base
-        array the cold path would build, so cached and fresh stacks are
-        bitwise identical.
+        fixed power-of-two scale per slice pair.  ``part`` works as for
+        :meth:`split_stack` (the pair's fibres never mix its parts).
+        Derivation replicates :func:`repro.blas.rounding.ozaki_slice_terms`
+        on the exact base array the cold path would build, so cached and
+        fresh stacks are bitwise identical.
         """
         if operand not in ("a", "b"):
             raise ValueError(f"operand must be 'a' or 'b', got {operand!r}")
+        if part in _PAIR_INDEX:
+            pair = self.ozaki_stack(
+                trans, n_slices, part=PAIR, operand=operand, dtype=dtype
+            )
+            return pair[:, _PAIR_INDEX[part]]
         axis = -1 if operand == "a" else -2
 
         def build():
-            if part is None:
-                base = self.oriented(trans, np.float32)
-            else:
-                base = self.part(trans, np.dtype(dtype or np.complex64), part)
+            base = self._family_base(
+                trans, part, np.float32, np.dtype(dtype or np.complex64)
+            )
             return ozaki_slice_terms(base, n_slices, axis=axis)
 
         return self._derive(("ozaki", trans, n_slices, part, operand), build)
@@ -421,16 +534,19 @@ class PreparedOperand:
         precision degenerates to one exact float64 cast.  ``dtype`` is
         the *working* dtype of the call (real or complex; complex when
         ``part`` selects a component) — it decides whether the base
-        array is the FP64 or FP32 packing.
+        array is the FP64 or FP32 packing.  ``part`` works as for
+        :meth:`split_stack`.
         """
         wdt = np.dtype(dtype or np.float64)
         double = wdt in (np.dtype(np.float64), np.dtype(np.complex128))
+        if part in _PAIR_INDEX:
+            pair = self.efp64_stack(trans, n_terms, part=PAIR, dtype=dtype)
+            return pair[:, _PAIR_INDEX[part]]
 
         def build():
-            if part is None:
-                base = self.oriented(trans, np.float64 if double else np.float32)
-            else:
-                base = self.part(trans, wdt, part)
+            base = self._family_base(
+                trans, part, np.float64 if double else np.float32, wdt
+            )
             return emulated_fp64_split_terms(base, n_terms)
 
         return self._derive(("efp64", trans, n_terms, part, double), build)

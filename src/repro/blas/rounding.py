@@ -254,25 +254,45 @@ def ozaki_slice_terms(x: np.ndarray, n_slices: int, axis: int) -> np.ndarray:
     fractional-part extraction of a float64 below 128 is exact.  After
     ``s`` slices the unrepresented remainder of an element is below
     ``2**(e - 7s)``, i.e. below ``2**(1-7s)`` of its fibre's absmax.
+
+    Finite FP32 input scales by multiplying with the (exact) powers of
+    two instead of calling ``np.ldexp``: its fibre exponents lie in
+    ``[-148, 128]``, so every scale, scaled element and slice value is
+    a normal float64 and each product is exact, bit for bit what
+    ``ldexp`` returns.  Other input (FP64, or a fibre holding Inf/NaN)
+    takes ``ldexp``.
     """
     if n_slices < 1:
         raise ValueError(f"n_slices must be >= 1, got {n_slices}")
-    x64 = np.ascontiguousarray(x, dtype=np.float64)
-    if x64.ndim < 2:
-        raise ValueError(f"ozaki_slice_terms needs >= 2-D input, got {x64.ndim}-D")
-    absmax = np.max(np.abs(x64), axis=axis, keepdims=True)
+    x = np.asarray(x)
+    if x.ndim < 2:
+        raise ValueError(f"ozaki_slice_terms needs >= 2-D input, got {x.ndim}-D")
+    if x.dtype != np.float32:
+        x = np.ascontiguousarray(x, dtype=np.float64)
+    # max|x| is exact in x's own width, and widening it is exact.
+    absmax = np.max(np.abs(x), axis=axis, keepdims=True).astype(np.float64, copy=False)
     # frexp: absmax = f * 2**e with f in [0.5, 1) -> absmax < 2**e and
     # the scale is an exact power of two (zero fibres get e = 0).
     _, e = np.frexp(absmax)
-    r = np.ldexp(x64, -e)               # |r| < 1, exact
+    by_multiply = x.dtype == np.float32 and bool(np.isfinite(absmax).all())
+    if not by_multiply:
+        x = np.ascontiguousarray(x, dtype=np.float64)  # ldexp runs in x's width
+
+    def scale(y, k, out):
+        # y * 2**k into ``out`` (float64): exact either way.
+        if by_multiply:
+            return np.multiply(y, np.ldexp(1.0, k), out=out)
+        return np.ldexp(y, k, out=out)
+
+    r = scale(x, -e, np.empty(x.shape))  # |r| < 1, exact
     radix = float(1 << OZAKI_SLICE_BITS)
-    stack = np.empty((n_slices,) + x64.shape)
-    q = np.empty_like(r)
+    stack = np.empty((n_slices,) + x.shape)
     for i in range(n_slices):
+        q = stack[i]                    # the slice is built in its slot
         np.multiply(r, radix, out=r)    # |r| < 128, exact
         np.trunc(r, out=q)              # integer slice, |q| <= 127
         np.subtract(r, q, out=r)        # exact fractional remainder
-        np.ldexp(q, e - OZAKI_SLICE_BITS * (i + 1), out=stack[i])
+        scale(q, e - OZAKI_SLICE_BITS * (i + 1), q)
     return stack
 
 
@@ -290,18 +310,25 @@ def emulated_fp64_split_terms(x: np.ndarray, n_terms: int) -> np.ndarray:
 
     The terms are returned as one C-contiguous ``(n_terms, *x.shape)``
     float64 stack holding FP32-representable values, ready for exact
-    pair products under float64 matmul.
+    pair products under float64 matmul.  FP32 input is its own first
+    term: one widening cast fills it.
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    residual = np.ascontiguousarray(x, dtype=np.float64)
-    stack = np.empty((n_terms,) + residual.shape)
-    for i in range(n_terms):
-        stack[i] = residual.astype(np.float32)  # widening back is exact
-        if i == 0:
+    x = np.asarray(x)
+    stack = np.empty((n_terms,) + x.shape)
+    if x.dtype == np.float32:
+        np.copyto(stack[0], x)  # exact: equals fp32(float64(x)) widened
+        residual = stack[0]
+    else:
+        residual = np.ascontiguousarray(x, dtype=np.float64)
+        stack[0] = residual.astype(np.float32)  # widening back is exact
+    for i in range(1, n_terms):
+        if i == 1:
             residual = residual - stack[0]  # a new buffer: ``x`` stays intact
         else:
-            np.subtract(residual, stack[i], out=residual)
+            np.subtract(residual, stack[i - 1], out=residual)
+        stack[i] = residual.astype(np.float32)
     return stack
 
 

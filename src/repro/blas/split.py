@@ -23,19 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.blas.rounding import (
-    emulated_fp64_split_terms,
-    ozaki_slice_terms,
-    split_terms,
-)
-from repro.types import MANTISSA_BITS, Precision
+from repro.types import Precision
 
 __all__ = [
     "split_gemm_real",
-    "split_gemm_reference",
     "component_pairs",
-    "ozaki_gemm_reference",
-    "emulated_fp64_gemm_reference",
     "emulated_fp64_term_count",
 ]
 
@@ -70,9 +62,9 @@ def split_gemm_real(
     once for this call, and the component products run on the fused
     engine (:mod:`repro.blas.workspace`) under the ambient
     :func:`repro.blas.backend.active_backend`.  Results are bitwise
-    identical to :func:`split_gemm_reference` on the NumPy backend;
-    other backends carry the documented tolerance contracts
-    (docs/BACKENDS.md).
+    identical to the naive per-pair reference of the golden test suites
+    on the NumPy backend; other backends carry the documented tolerance
+    contracts (docs/BACKENDS.md).
 
     Parameters
     ----------
@@ -104,68 +96,6 @@ def split_gemm_real(
     return split_gemm_fused(a_h, b_h, precision, n_terms)
 
 
-def split_gemm_reference(
-    a: np.ndarray,
-    b: np.ndarray,
-    precision: Precision,
-    n_terms: int,
-) -> np.ndarray:
-    """Naive reference engine: per-pair matmuls with fresh temporaries.
-
-    This is the original (pre-plan) implementation, kept as the golden
-    oracle: :func:`split_gemm_real`'s fused/cached path must match it
-    *bitwise* for all inputs (see the property tests).  It is pure
-    NumPy *on purpose* — the oracle must stay backend-independent, so
-    it never consults :mod:`repro.blas.backend`.
-    """
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError(
-            f"split_gemm_reference needs >= 2-D inputs, got {a.ndim}-D and {b.ndim}-D"
-        )
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    keep = MANTISSA_BITS[precision]
-    a_terms = split_terms(a, keep, n_terms)
-    b_terms = split_terms(b, keep, n_terms)
-    out = None
-    for i, j in component_pairs(n_terms):
-        # float32 matmul == exact component products + FP32 accumulate.
-        prod = np.matmul(a_terms[i - 1], b_terms[j - 1])
-        out = prod if out is None else out + prod
-    return out
-
-
-def _check_shapes(name: str, a: np.ndarray, b: np.ndarray) -> None:
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError(f"{name} needs >= 2-D inputs, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-
-
-def ozaki_gemm_reference(a: np.ndarray, b: np.ndarray, n_slices: int) -> np.ndarray:
-    """Naive Ozaki-scheme INT8 split GEMM (golden oracle, pure NumPy).
-
-    Each operand is decomposed into ``n_slices`` scaled-INT8 slice
-    terms along its contraction axis
-    (:func:`repro.blas.rounding.ozaki_slice_terms`); the slice-pair
-    products — float64 matmuls that *exactly* emulate INT8 multiplies
-    with INT32 accumulation, because every product is an integer times
-    a shared power-of-two scale — are rescaled and summed
-    most-significant-first over the ``i + j <= n_slices + 1`` pair set,
-    then rounded once to FP32.  The fused/plan-cached path must match
-    this bitwise (same decomposition, same pair order, same final
-    cast).
-    """
-    _check_shapes("ozaki_gemm_reference", a, b)
-    a_terms = ozaki_slice_terms(a, n_slices, axis=-1)
-    b_terms = ozaki_slice_terms(b, n_slices, axis=-2)
-    out = None
-    for i, j in component_pairs(n_slices):
-        prod = np.matmul(a_terms[i - 1], b_terms[j - 1])
-        out = prod if out is None else out + prod
-    return out.astype(np.float32)
-
-
 def emulated_fp64_term_count(dtype) -> int:
     """Split terms the ``EMULATED_FP64`` mode uses for this storage.
 
@@ -175,29 +105,3 @@ def emulated_fp64_term_count(dtype) -> int:
     cheapest arithmetic that still beats FP32 accumulation.
     """
     return 3 if np.dtype(dtype) in (np.dtype(np.float64), np.dtype(np.complex128)) else 1
-
-
-def emulated_fp64_gemm_reference(
-    a: np.ndarray, b: np.ndarray, n_terms: int = None
-) -> np.ndarray:
-    """Naive emulated-FP64 GEMM (golden oracle, pure NumPy).
-
-    Operands are split into FP32-representable terms
-    (:func:`repro.blas.rounding.emulated_fp64_split_terms`); each term
-    pair with ``i + j <= n_terms + 1`` is multiplied under float64
-    matmul (FP32 x FP32 products are exact; accumulation is FP64 — the
-    compensated-accumulation stage) and summed most-significant-first.
-    The result keeps the input's real dtype: FP64 in, FP64-grade out;
-    FP32 in, an FP64-accumulated product rounded once at the end.
-    """
-    _check_shapes("emulated_fp64_gemm_reference", a, b)
-    if n_terms is None:
-        n_terms = emulated_fp64_term_count(a.dtype)
-    a_terms = emulated_fp64_split_terms(a, n_terms)
-    b_terms = emulated_fp64_split_terms(b, n_terms)
-    out = None
-    for i, j in component_pairs(n_terms):
-        prod = np.matmul(a_terms[i - 1], b_terms[j - 1])
-        out = prod if out is None else out + prod
-    rdt = np.float64 if np.dtype(a.dtype) == np.dtype(np.float64) else np.float32
-    return out.astype(rdt)

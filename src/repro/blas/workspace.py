@@ -41,6 +41,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.blas import backend as _backend
+from repro.blas.plan import PAIR
 from repro.telemetry.provenance import current_site_id as _current_site_id
 from repro.telemetry.registry import active as _telemetry_active
 from repro.types import MANTISSA_BITS, Precision
@@ -169,6 +170,20 @@ def fused_pair_products(
     return be.to_numpy(out)
 
 
+def _outer_pair_views(a_terms, b_terms):
+    """Views of two ``(n_terms, 2, ..., r, c)`` pair stacks whose matmul is
+    the outer product of the pairs: ``(n_terms, 2, 1, ...)`` against
+    ``(n_terms, 1, 2, ...)``, batch axes padded to one rank."""
+    rank = max(a_terms.ndim, b_terms.ndim)
+    a_shape, b_shape = tuple(a_terms.shape), tuple(b_terms.shape)
+    pad_a = (1,) * (rank - a_terms.ndim)
+    pad_b = (1,) * (rank - b_terms.ndim)
+    return (
+        a_terms.reshape(a_shape[:2] + (1,) + pad_a + a_shape[2:]),
+        b_terms.reshape(b_shape[:1] + (1,) + b_shape[1:2] + pad_b + b_shape[2:]),
+    )
+
+
 def split_gemm_fused(
     a_handle,
     b_handle,
@@ -183,7 +198,14 @@ def split_gemm_fused(
 
     ``part_a``/``part_b`` select the real/imag component of a complex
     operand (``'re'``/``'im'``); ``None`` means the operand itself is
-    real.  Split stacks come from the handles' plans, so a frozen
+    real.  With both set to :data:`repro.blas.plan.PAIR` the terms carry
+    each operand's re/im pair, and every component pair is one
+    broadcast matmul ``A[i][:, None] @ B[j][None]``: the result is the
+    ``(2, 2, m, n)`` block of all four part products (``[p, q]`` is part
+    ``p`` of A times part ``q`` of B), each its own 2-D product
+    accumulated in pair order.
+
+    Split stacks come from the handles' plans, so a frozen
     operand's rounding/splitting work is paid once per SCF block
     instead of once per call.  The splits themselves are always derived
     in NumPy (bit-exact everywhere); ``backend`` only executes the
@@ -230,6 +252,8 @@ def split_gemm_fused(
         raise ValueError(
             f"inner dimensions differ: {tuple(a_terms.shape[1:])} @ {tuple(b_terms.shape[1:])}"
         )
+    if part_a == PAIR and part_b == PAIR:
+        a_terms, b_terms = _outer_pair_views(a_terms, b_terms)
     out = fused_pair_products(a_terms, b_terms, component_pairs(n_terms), backend=be)
     if out_dtype is not None:
         out = out.astype(out_dtype, copy=False)

@@ -34,8 +34,13 @@ def current_density(
     a_field: Optional[np.ndarray] = None,
     polarization: np.ndarray = (0.0, 0.0, 1.0),
     device=None,
+    psig: Optional[np.ndarray] = None,
 ) -> float:
-    """Volume-averaged electronic current along ``polarization`` (a.u.)."""
+    """Volume-averaged electronic current along ``polarization`` (a.u.).
+
+    ``psig`` may pass in ``mesh.fft(psi)`` when the caller has it (it is
+    only read); otherwise it is computed here.
+    """
     psi = np.asarray(psi)
     f = np.asarray(occupations, dtype=np.float64)
     if f.shape != (psi.shape[1],):
@@ -49,7 +54,8 @@ def current_density(
     # Spectral momentum density.  Parseval: sum_G |psi(G)|^2 / N = sum_r |psi(r)|^2.
     # The derivative k-grid zeroes the Nyquist modes so a real-valued
     # state carries exactly zero canonical current.
-    psig = mesh.fft(psi)
+    if psig is None:
+        psig = mesh.fft(psi)
     weights = (np.abs(psig) ** 2 @ f) * (mesh.dv / mesh.n_grid)
     k_par = mesh.kvecs_deriv @ pol
     j_canonical = float(k_par @ weights)

@@ -41,26 +41,32 @@ class EnergyBreakdown:
 
 
 def calc_energy(
-    psi: np.ndarray,
+    psi: Union[np.ndarray, PreparedOperand],
     psi0: Union[np.ndarray, PreparedOperand],
     occupations: np.ndarray,
     mesh: Mesh,
     v_eff: np.ndarray,
-    h_nl_sub: np.ndarray,
+    h_nl_sub: Union[np.ndarray, PreparedOperand],
     a_field: Optional[np.ndarray] = None,
     device=None,
+    psig: Optional[np.ndarray] = None,
 ) -> EnergyBreakdown:
     """Evaluate the energy of the current LFD state.
 
     Parameters mirror the DCMESH internals: ``psi`` is the propagating
-    wavefunction matrix, ``psi0`` the SCF reference (a plain array, or
-    the frozen run's :class:`~repro.blas.plan.PreparedOperand` so its
-    split is reused across steps), ``h_nl_sub`` the
+    wavefunction matrix, ``psi0`` the SCF reference, ``h_nl_sub`` the
     FP64-built nonlocal subspace operator cast to storage precision,
     ``v_eff`` the frozen effective potential of the current SCF block
-    and ``a_field`` the instantaneous laser vector potential.
+    and ``a_field`` the instantaneous laser vector potential.  Each of
+    ``psi``, ``psi0`` and ``h_nl_sub`` may be a plain array or a
+    :class:`~repro.blas.plan.PreparedOperand`, so that its conversions
+    are shared with other GEMMs (``Psi(0)`` and ``H_nl`` across a
+    block's steps, ``Psi(t)`` across one observation); an ``h_nl_sub``
+    plan of another dtype is cast.  ``psig``, when given, must be
+    ``mesh.fft(psi)``; it is scaled in place.
     """
-    psi = np.asarray(psi)
+    psi_op = psi if isinstance(psi, PreparedOperand) else np.asarray(psi)
+    psi = getattr(psi_op, "array", psi_op)
     n_orb = psi.shape[1]
     f = np.asarray(occupations, dtype=np.float64)
     if f.shape != (n_orb,):
@@ -74,17 +80,22 @@ def calc_energy(
     else:
         a = np.asarray(a_field, dtype=np.float64)
         disp = 0.5 * (mesh.k2 + 2.0 * (mesh.kvecs @ a) + a @ a)
-    psig = mesh.fft(psi)
+    if psig is None:
+        psig = mesh.fft(psi)
     psig *= disp[:, None].astype(psig.real.dtype)
     tpsi = mesh.ifft(psig).astype(psi.dtype, copy=False)
     if device is not None:
         device.record_stream("fft_energy", 12 * psi.nbytes, buffer_bytes=psi.nbytes,
                              site="calc_energy")
 
+    prepared = isinstance(h_nl_sub, PreparedOperand)
+    if not (prepared and h_nl_sub.array.dtype == psi.dtype):
+        h_nl_sub = np.asarray(getattr(h_nl_sub, "array", h_nl_sub), dtype=psi.dtype)
+
     with call_site("calc_energy"):
-        k = gemm(psi, tpsi, trans_a="C", alpha=dv)         # (N_orb, N_orb, N_grid)
-        s = gemm(psi0, psi, trans_a="C", alpha=dv)
-        m = gemm(np.asarray(h_nl_sub, dtype=psi.dtype), s)  # small
+        k = gemm(psi_op, tpsi, trans_a="C", alpha=dv)      # (N_orb, N_orb, N_grid)
+        s = gemm(psi0, psi_op, trans_a="C", alpha=dv)
+        m = gemm(h_nl_sub, s)                              # small
 
     ekin = float(np.real(np.diagonal(k)) @ f)
     enl = float(np.real(np.sum(s.conj() * m, axis=0)) @ f)

@@ -44,7 +44,7 @@ class RemapResult:
 
 
 def remap_occ(
-    psi: np.ndarray,
+    psi: Union[np.ndarray, PreparedOperand],
     psi0: Union[np.ndarray, PreparedOperand],
     occupations: np.ndarray,
     mesh: Mesh,
@@ -54,35 +54,49 @@ def remap_occ(
     Parameters
     ----------
     psi:
-        Propagating orbitals ``(N_grid, N_orb)`` at LFD precision.
+        Propagating orbitals ``(N_grid, N_orb)`` at LFD precision: a
+        plain array or a :class:`~repro.blas.plan.PreparedOperand`
+        (``Simulation.run`` passes the observation's plan of ``Psi(t)``,
+        whose occupied block then slices the forms ``calc_energy``
+        already built).
     psi0:
         SCF reference orbitals, same shape/precision: a plain array
         (split per call) or a :class:`~repro.blas.plan.PreparedOperand`,
         whose occupied and virtual column blocks are cached child plans.
     occupations:
-        Reference occupations (2.0 for the first ``N_occ`` columns).
+        Reference occupations: ``N_occ`` positive entries first, then
+        zeros (2.0 for the first ``N_occ`` columns).
     """
-    psi = np.asarray(psi)
+    if not isinstance(psi, PreparedOperand):
+        psi = PreparedOperand(psi, keep_bases=False)
     if not isinstance(psi0, PreparedOperand):
         psi0 = PreparedOperand(psi0)
-    if psi.shape != psi0.array.shape:
-        raise ValueError(f"psi {psi.shape} and psi0 {psi0.array.shape} differ")
+    shape = psi.array.shape
+    if shape != psi0.array.shape:
+        raise ValueError(f"psi {shape} and psi0 {psi0.array.shape} differ")
     f = np.asarray(occupations, dtype=np.float64)
-    n_orb = psi.shape[1]
+    n_orb = shape[1]
     n_occ = int(np.count_nonzero(f > 0))
     if n_occ == 0 or n_occ >= n_orb:
         raise ValueError(
             f"remap_occ needs both occupied and virtual orbitals, got "
             f"{n_occ} occupied of {n_orb}"
         )
-    dv = mesh.dv
     f_occ = f[:n_occ]
+    if not (f_occ > 0).all():
+        i = int(np.argmin(f_occ > 0))
+        raise ValueError(
+            f"remap_occ needs the {n_occ} occupied orbitals first, but "
+            f"orbital {i} has occupation {f[i]}"
+        )
+    dv = mesh.dv
+    psi_occ = psi.columns(0, n_occ)
 
     with call_site("remap_occ"):
         # Table VII shape: (m=N_occ, n=N_virt, k=N_grid).
-        p = gemm(psi[:, :n_occ], psi0.columns(n_occ, n_orb), trans_a="C", alpha=dv)
+        p = gemm(psi_occ, psi0.columns(n_occ, n_orb), trans_a="C", alpha=dv)
         # Remapped occupations of the initial occupied manifold.
-        q = gemm(psi0.columns(0, n_occ), psi[:, :n_occ], trans_a="C", alpha=dv)
+        q = gemm(psi0.columns(0, n_occ), psi_occ, trans_a="C", alpha=dv)
         # Per-orbital excitation matrix (small).
         w = gemm(p, p, trans_b="C")
 
@@ -93,5 +107,5 @@ def remap_occ(
         nexc=nexc,
         occ_remapped=occ_remapped,
         per_orbital_exc=per_orbital,
-        p_shape=(n_occ, n_orb - n_occ, psi.shape[0]),
+        p_shape=(n_occ, n_orb - n_occ, shape[0]),
     )

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.blas.gemm import use_device
 from repro.blas.modes import ComputeMode, compute_mode, resolve_mode
+from repro.blas.plan import PreparedOperand
 from repro.dcmesh.constants import FS_PER_AU
 from repro.dcmesh.current import current_density
 from repro.dcmesh.energy import calc_energy
@@ -49,7 +50,13 @@ from repro.telemetry.drift import (
 from repro.telemetry.registry import active as _telemetry_active
 from repro.types import Precision, complex_dtype, real_dtype
 
-__all__ = ["SimulationConfig", "Simulation", "SimulationResult", "estimate_device_bytes"]
+__all__ = [
+    "SimulationConfig",
+    "Simulation",
+    "SimulationResult",
+    "estimate_device_bytes",
+    "observe_state",
+]
 
 
 @dataclasses.dataclass
@@ -167,6 +174,42 @@ def estimate_device_bytes(config: SimulationConfig) -> int:
     psi_bytes = config.n_grid * config.n_orb * celem
     fields = 3 * config.n_grid * relem
     return 4 * psi_bytes + fields
+
+
+def observe_state(
+    psi: np.ndarray,
+    psi0: Union[np.ndarray, PreparedOperand],
+    h_nl: Union[np.ndarray, PreparedOperand],
+    occupations: np.ndarray,
+    mesh: Mesh,
+    v_eff: np.ndarray,
+    a_field: np.ndarray,
+    polarization: np.ndarray,
+    device=None,
+):
+    """Energy, remapped occupations and current of one QD state.
+
+    ``Psi(t)`` is converted once for the whole observation: one
+    unregistered ``keep_bases=False`` plan serves ``calc_energy``'s and
+    ``remap_occ``'s GEMMs (the occupied block slices the forms the
+    energy GEMMs built) and is freed, by reference counting, on return.
+    One forward FFT serves the current, which only reads it, and then
+    the kinetic energy, which scales it in place.
+
+    Returns ``(EnergyBreakdown, RemapResult, javg)``.
+    """
+    psi_plan = PreparedOperand(psi, keep_bases=False)
+    psig = mesh.fft(psi)
+    j = current_density(
+        psi, occupations, mesh, a_field=a_field, polarization=polarization,
+        device=device, psig=psig,
+    )
+    e = calc_energy(
+        psi_plan, psi0, occupations, mesh, v_eff, h_nl,
+        a_field=a_field, device=device, psig=psig,
+    )
+    r = remap_occ(psi_plan, psi0, occupations, mesh)
+    return e, r, j
 
 
 @dataclasses.dataclass
@@ -453,19 +496,14 @@ class Simulation:
                 a = a + field.a * pol
             return a
 
-        def observe(t_au: float, psi_now: np.ndarray, h_nl_sub64: np.ndarray) -> QDRecord:
+        def observe(t_au: float, psi_now: np.ndarray, h_nl: PreparedOperand) -> QDRecord:
             nonlocal etot0
             a = total_field(t_au)
             # Psi(0) goes in as the block's prepared operand: its split
             # is built once and reused by all three paper functions.
-            e = calc_energy(
-                psi_now, nlp.psi0_plan, occupations, mesh, v_eff, h_nl_sub64,
-                a_field=a, device=self.device,
-            )
-            r = remap_occ(psi_now, nlp.psi0_plan, occupations, mesh)
-            j = current_density(
-                psi_now, occupations, mesh, a_field=a, polarization=pol,
-                device=self.device,
+            e, r, j = observe_state(
+                psi_now, nlp.psi0_plan, h_nl, occupations, mesh, v_eff,
+                a, pol, device=self.device,
             )
             if etot0 is None:
                 etot0 = e.etot
@@ -525,13 +563,16 @@ class Simulation:
                                 effective_mode, cfg.dt, float(np.linalg.norm(h_nl_sub))
                             )
                     nlp = NonlocalPropagator(psi0, h_nl_sub, cfg.dt, mesh)
+                    # calc_energy's H_nl at storage precision: cast and
+                    # converted once per block, not once per step.
+                    h_nl_plan = PreparedOperand(h_nl_sub.astype(cdt, copy=False))
                     prop = LFDPropagator(
                         mesh, v_eff, nlp, cfg.laser, cfg.dt,
                         storage_dtype=cdt, device=self.device,
                     )
 
                     if step == 0:
-                        rec0 = observe(0.0, psi, h_nl_sub)
+                        rec0 = observe(0.0, psi, h_nl_plan)
                         records.append(rec0)
                         if dm is not None:
                             dm.observe(rec0)
@@ -550,7 +591,7 @@ class Simulation:
                             a_ind = field.a * pol if field is not None else None
                             psi = prop.step(psi, t_au, a_extra=a_ind)
                             step += 1
-                            rec = observe(step * cfg.dt, psi, h_nl_sub)
+                            rec = observe(step * cfg.dt, psi, h_nl_plan)
                             records.append(rec)
                             if dm is not None:
                                 dm.observe(rec)

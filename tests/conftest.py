@@ -9,12 +9,20 @@ the paper's methodology of re-running one binary per mode.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.blas.gemm import check_finite
 from repro.blas.modes import ComputeMode
 from repro.dcmesh.simulation import Simulation, SimulationConfig
+
+# Shared test-only modules (gemm_oracles) import by name from any suite.
+_TESTS_DIR = str(Path(__file__).resolve().parent)
+if _TESTS_DIR not in sys.path:
+    sys.path.insert(0, _TESTS_DIR)
 
 
 @pytest.fixture(scope="session", autouse=True)

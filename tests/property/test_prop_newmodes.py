@@ -6,14 +6,15 @@ Two contracts per mode:
   inside the analytic per-slice truncation bound and ``EMULATED_FP64``
   delivers FP64-class results from FP32-term products;
 * **golden bitwise** — the routed fused/plan-cached paths reproduce the
-  kept naive references (:func:`repro.blas.split.ozaki_gemm_reference`,
-  :func:`repro.blas.split.emulated_fp64_gemm_reference`, composed with
+  kept naive references (``gemm_oracles.ozaki_gemm_reference`` and
+  ``gemm_oracles.emulated_fp64_gemm_reference`` in tests/, composed with
   ``gemm_4m`` for complex) bit for bit on the fused engine, on the
   same adversarial inputs the paper-mode golden suite uses.
 """
 
 import numpy as np
 import pytest
+from gemm_oracles import emulated_fp64_gemm_reference, ozaki_gemm_reference
 from hypothesis import given, settings, strategies as st
 
 from repro.blas.complex3m import gemm_4m
@@ -21,10 +22,6 @@ from repro.blas.gemm import gemm
 from repro.blas.modes import ComputeMode, set_ozaki_slices
 from repro.blas.plan import prepare
 from repro.blas.rounding import OZAKI_SLICE_BITS, ozaki_max_relative_error
-from repro.blas.split import (
-    emulated_fp64_gemm_reference,
-    ozaki_gemm_reference,
-)
 
 pytestmark = pytest.mark.usefixtures("clean_mode_env")
 

@@ -9,7 +9,7 @@ bit relative to the original implementation (per-pair matmuls with
 fresh temporaries, most-significant-first accumulation).  The reference
 here is composed from the *kept* pre-plan kernels:
 
-* real routines — :func:`repro.blas.split.split_gemm_reference`;
+* real routines — ``gemm_oracles.split_gemm_reference`` (tests/);
 * complex low-precision — :func:`repro.blas.complex3m.gemm_4m` with the
   reference real engine plugged underneath;
 * ``COMPLEX_3M`` — :func:`repro.blas.complex3m.gemm_3m`.
@@ -21,13 +21,14 @@ show up immediately in the low-order bits.
 
 import numpy as np
 import pytest
+from gemm_oracles import split_gemm_reference
 from hypothesis import given, settings, strategies as st
 
 from repro.blas.complex3m import gemm_3m, gemm_4m
 from repro.blas.gemm import gemm
 from repro.blas.modes import ComputeMode
 from repro.blas.plan import prepare
-from repro.blas.split import split_gemm_real, split_gemm_reference
+from repro.blas.split import split_gemm_real
 
 pytestmark = pytest.mark.usefixtures("clean_mode_env")
 

@@ -352,7 +352,9 @@ class TestOperandHandle:
         np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
     def test_split_gemm_real_accepts_plans(self, rng):
-        from repro.blas.split import split_gemm_real, split_gemm_reference
+        from gemm_oracles import split_gemm_reference
+
+        from repro.blas.split import split_gemm_real
 
         a = rng.standard_normal((6, 10)).astype(np.float32)
         b = rng.standard_normal((10, 4)).astype(np.float32)
@@ -536,19 +538,99 @@ class TestColumnBlocks:
         np.testing.assert_array_equal(got.occ_remapped, want.occ_remapped)
 
 
-class TestRunReusesPsi0:
-    """A BF16X3 ``Simulation.run`` splits Psi(0) once, not per step."""
+class TestWarmedParentChildren:
+    """A child whose parent has cached a form slices it — a row view for
+    ``'T'``/``'C'``, a packed column copy for ``'N'`` — and a GEMM on the
+    child still equals the GEMM on the packed slice, bit for bit.  Ozaki
+    stacks are sliced only when the cut runs across their fibres."""
 
-    #: Fresh operands per QD step (each is split into its re and im
-    #: parts by the 4M decomposition): nlp_prop's psi, S and T;
-    #: calc_energy's psi^H, T_A psi, psi, H_nl and S; remap_occ's
-    #: psi_occ^H, psi_occ, P and P^H.
-    FRESH_PER_STEP = 12
-    #: Split once per run: Psi(0)^H and Psi(0) (nlp_prop, shared by
-    #: calc_energy) and its virtual and occupied column blocks.
-    PSI0_FORMS = 4
+    START, STOP = 3, 9
+    #: The kind of form each mode's GEMM reads from the child.
+    FORM = {
+        "STANDARD": "oriented",
+        "FLOAT_TO_BF16X3": "split",
+        "FLOAT_TO_TF32": "split",
+        "COMPLEX_3M": "parts",
+        "OZAKI_INT8": "ozaki",
+        "EMULATED_FP64": "efp64",
+    }
+
+    @staticmethod
+    def _complex(rng, shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(
+            np.complex64
+        )
+
+    def _other(self, rng, x, trans, side):
+        rows, cols = x.shape[::-1] if trans == "C" else x.shape
+        return self._complex(rng, (cols, 5) if side == "a" else (7, rows))
+
+    @staticmethod
+    def _gemm(x, other, trans, side, mode):
+        if side == "a":
+            return gemm(x, other, trans_a=trans, mode=mode)
+        return gemm(other, x, trans_b=trans, mode=mode)
+
+    @staticmethod
+    def _slices(t, kind):
+        total = 0
+        for (name, labels), value in t.counters.items():
+            labels = dict(labels)
+            if labels.get("result") != "slice":
+                continue
+            if (name, kind) == ("blas.plan.split", "split") or (
+                name == "blas.plan.derive" and labels.get("kind") == kind
+            ):
+                total += value
+        return total
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("trans", ["N", "C"])
+    @pytest.mark.parametrize("mode", sorted(FORM))
+    def test_child_of_warmed_parent_equals_packed_slice(self, rng, mode, trans, side):
+        from repro.telemetry.registry import disable, enable
+
+        x = self._complex(rng, (40, 12))
+        plan = PreparedOperand(x)
+        self._gemm(plan, self._other(rng, x, trans, side), trans, side, mode)
+        block = np.ascontiguousarray(x[:, self.START : self.STOP])
+        other = self._other(rng, block, trans, side)
+        t = enable()
+        try:
+            got = self._gemm(
+                plan.columns(self.START, self.STOP), other, trans, side, mode
+            )
+        finally:
+            disable()
+        want = self._gemm(block, other, trans, side, mode)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        along_fibres = mode == "OZAKI_INT8" and (trans == "N") != (side == "b")
+        sliced = self._slices(t, self.FORM[mode])
+        assert sliced == 0 if along_fibres else sliced >= 1
+
+
+class TestRunReusesPsi0:
+    """A BF16X3 ``Simulation.run`` converts Psi(0) once, not per step, and
+    each step's Psi(t) once per orientation."""
+
+    #: Fresh conversions per QD step, one per operand orientation (the
+    #: 4M decomposition splits re and im together): nlp_prop's psi, S
+    #: and T; calc_energy's psi^H, T_A psi, psi and S; remap_occ's P and
+    #: P^H.  remap_occ's Psi(t) blocks slice calc_energy's forms, and
+    #: H_nl is converted once per SCF block.
+    FRESH_PER_STEP = 9
+    #: Converted once per run: Psi(0)^H and Psi(0) (nlp_prop, shared by
+    #: calc_energy; the occupied block slices Psi(0)^H) and the virtual
+    #: block, whose parent form does not exist yet at step 0.
+    PSI0_FORMS = 3
     #: Fresh at the step-0 observation (calc_energy + remap_occ).
-    FRESH_STEP0 = 9
+    FRESH_STEP0 = 6
+    #: Converted once per SCF block: W and H_nl.
+    PER_BLOCK = 2
+    #: FFTs per QD step: the kinetic drift's forward and inverse, one
+    #: forward FFT of Psi(t) for the current and the energy, and the
+    #: energy's inverse.
+    FFTS_PER_STEP = 4
 
     @staticmethod
     def _full_splits(t):
@@ -558,12 +640,23 @@ class TestRunReusesPsi0:
             if name == "blas.plan.split" and ("result", "full") in labels
         )
 
-    def test_split_counts(self, tiny_sim):
+    def test_split_counts(self, tiny_sim, monkeypatch):
+        from repro.dcmesh.mesh import Mesh
         from repro.telemetry.registry import disable, enable
 
+        ffts = []
+        for name in ("fft", "ifft"):
+            original = getattr(Mesh, name)
+
+            def counted(mesh, x, _original=original):
+                ffts.append(1)
+                return _original(mesh, x)
+
+            monkeypatch.setattr(Mesh, name, counted)
         assert tiny_sim.config.nscf >= 4  # one SCF block, so one W
-        counts = {}
+        counts, n_ffts = {}, {}
         for n in (2, 4):
+            ffts.clear()
             t = enable()
             try:
                 tiny_sim.run(mode="FLOAT_TO_BF16X3", n_steps=n)
@@ -571,7 +664,9 @@ class TestRunReusesPsi0:
                 disable()
             assert t.counter_total("blas.plan.anon") == 0
             counts[n] = self._full_splits(t)
+            n_ffts[n] = len(ffts)
         per_step = (counts[4] - counts[2]) / 2
-        assert per_step == 2 * self.FRESH_PER_STEP
+        assert per_step == self.FRESH_PER_STEP
         once = counts[2] - 2 * per_step
-        assert once == 2 * (self.FRESH_STEP0 + self.PSI0_FORMS + 1)  # + W
+        assert once == self.FRESH_STEP0 + self.PSI0_FORMS + self.PER_BLOCK
+        assert (n_ffts[4] - n_ffts[2]) / 2 == self.FFTS_PER_STEP

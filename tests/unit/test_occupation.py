@@ -74,6 +74,10 @@ class TestStructure:
             remap_occ(orb.psi, orb.psi, np.full(8, 2.0), mesh)
         with pytest.raises(ValueError, match="occupied and virtual"):
             remap_occ(orb.psi, orb.psi, np.zeros(8), mesh)
+        # Occupied orbitals not first (a hand-written or loaded
+        # checkpoint): the first n_occ columns are not the occupied set.
+        with pytest.raises(ValueError, match="occupied orbitals first"):
+            remap_occ(orb.psi, orb.psi, np.array([0, 2, 2, 2, 2, 0, 0, 0.0]), mesh)
 
     def test_shape_mismatch(self, setup):
         mesh, orb = setup

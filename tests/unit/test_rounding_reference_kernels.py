@@ -92,6 +92,24 @@ def _fp32_patterns(seed, shape=(48, 40)):
     return bits.view(np.float32)
 
 
+def _fp32_range_ends(seed, shape=(24, 20)):
+    """Finite FP32 data whose fibre maxima sit at both ends of FP32's
+    range — near 2**127 and at the denormal floor — with zero fibres
+    along both axes (the cases where scaling by a product of powers of
+    two must still equal ``ldexp`` bit for bit)."""
+    rng = np.random.default_rng(seed)
+    mant = rng.uniform(-2.0, 2.0, size=shape)
+    x = np.empty(shape, dtype=np.float32)
+    x[:8] = mant[:8] * 2.0**126
+    x[8:16] = mant[8:16] * 2.0**-148
+    x[16:] = mant[16:] * 2.0 ** rng.integers(-149, 127, size=(shape[0] - 16, shape[1]))
+    x[0, 0] = np.finfo(np.float32).max
+    x[9, 1] = np.float32(2.0**-149)
+    x[10] = -0.0
+    x[:, 4] = 0.0
+    return x
+
+
 def _assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     view = np.uint32 if got.dtype.itemsize == 4 else np.uint64
@@ -154,7 +172,8 @@ class TestSliceKernels:
         x = _fp32_patterns(seed)
         x[3] = 0.0  # a zero fibre along either axis
         x[:, 5] = 0.0
-        for data in (x, np.where(np.isfinite(x), x, np.float32(0.0))):
+        finite = np.where(np.isfinite(x), x, np.float32(0.0))
+        for data in (x, finite, _fp32_range_ends(seed)):
             stack = ozaki_slice_terms(data, n_slices, axis=axis)
             assert stack.shape == (n_slices,) + data.shape and stack.flags.c_contiguous
             for got, want in zip(stack, _ref_ozaki(data, n_slices, axis)):
