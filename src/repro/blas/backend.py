@@ -32,20 +32,18 @@ Selection contract (see docs/BACKENDS.md):
 * ``runner --backend`` / ``Simulation.run(backend=...)`` — thin
   wrappers over the two above.
 
-Thread scoping: ``set_backend`` (and the env var) install the
-**process-wide default**, visible to every thread; ``use_backend``
-installs a **thread-local override** and restores it on exit, so
-concurrent scoped selections in different threads can never interleave
-or restore each other's state.  Code that fans work out to a thread
-pool from inside a ``use_backend`` scope must capture
-:func:`active_backend` at submission and re-enter it in the worker
-(``blas_sweep.parallel_mode_sweep`` and ``runner --jobs`` do).
+Scoping: ``set_backend`` (and the env var) install the **process-wide
+default**, visible to every thread; ``use_backend`` replaces the
+``backend`` field of the execution context (:mod:`repro.context`) and
+restores it on exit.  A plain thread starts with no override, so
+concurrent scoped selections in different threads never interleave;
+workers started through :func:`repro.context.fan_out` run in a copy of
+the caller's context and so see its ``use_backend`` scope.
 
-Hot-path contract: the default path costs one :func:`active_backend`
-call per GEMM (a thread-local attribute probe falling back to one
-module read); every kernel captures the backend once and passes it
-down, so no per-operation lookups happen inside the fused engine.
-Caches that hold backend-owned buffers (the workspace pool, the plan
+Hot-path contract: the default path costs one context read per GEMM
+(the entry points read the context once and take the backend from it);
+every kernel receives the backend as an argument, so no per-operation
+lookups happen inside the fused engine.  Caches that hold backend-owned buffers (the workspace pool, the plan
 layer's native mirrors) key by :attr:`ArrayBackend.cache_key`, so
 switching backends mid-process can never hand one backend's arrays
 to another.
@@ -61,6 +59,8 @@ import warnings
 from typing import Callable, Dict, Iterator, Optional, Union
 
 import numpy as np
+
+from repro import context as _context
 
 __all__ = [
     "ArrayBackend",
@@ -328,21 +328,10 @@ def available_backends() -> Dict[str, str]:
 #: Threads with no scoped override dispatch here.
 _default: ArrayBackend = NUMPY_BACKEND
 
-#: Per-thread scoped override (``use_backend``).  Selection must be
-#: thread-scoped because the workspace pool is: two threads running
-#: concurrent ``use_backend`` scopes against a shared global would
-#: interleave their restores and leak one thread's selection into the
-#: other's GEMMs.
-_tls = threading.local()
-
 
 def active_backend() -> ArrayBackend:
-    """The backend this thread's GEMMs currently dispatch to.
-
-    One thread-local attribute probe falling back to one module read —
-    the entire per-call cost of the seam when no offload is configured.
-    """
-    override = getattr(_tls, "backend", None)
+    """The backend this context's GEMMs currently dispatch to."""
+    override = _context.current().backend
     return _default if override is None else override
 
 
@@ -361,21 +350,14 @@ def set_backend(name: Union[str, ArrayBackend]) -> ArrayBackend:
 
 @contextlib.contextmanager
 def use_backend(name: Union[str, ArrayBackend]) -> Iterator[ArrayBackend]:
-    """Scoped backend selection for the calling thread.
+    """Scoped backend selection for the calling execution context.
 
-    Installs a thread-local override and restores the previous one on
-    exit, so concurrent scopes in different threads cannot observe or
-    clobber each other.  The override does **not** propagate into
-    threads spawned inside the scope — capture :func:`active_backend`
-    at submission and re-enter it in the worker.
+    Concurrent scopes in different threads cannot observe or clobber
+    each other; :func:`repro.context.fan_out` workers inherit the scope.
     """
-    prev = getattr(_tls, "backend", None)
     backend = get_backend(name)
-    _tls.backend = backend
-    try:
+    with _context.scoped(backend=backend):
         yield backend
-    finally:
-        _tls.backend = prev
 
 
 def refresh_from_env() -> ArrayBackend:
@@ -387,21 +369,27 @@ def refresh_from_env() -> ArrayBackend:
     without torch.
     """
     global _default
-    raw = os.environ.get(REPRO_BACKEND_ENV, "").strip()
-    if not raw:
-        _default = NUMPY_BACKEND
-        return _default
+    _default = backend_or_numpy(
+        os.environ.get(REPRO_BACKEND_ENV, "").strip(), REPRO_BACKEND_ENV
+    )
+    return _default
+
+
+def backend_or_numpy(name: str, source: str) -> ArrayBackend:
+    """:func:`get_backend`, degrading to NumPy with a warning naming
+    ``source`` when ``name`` is empty, unknown or unavailable here."""
+    if not name:
+        return NUMPY_BACKEND
     try:
-        _default = get_backend(raw)
+        return get_backend(name)
     except (BackendUnavailable, ValueError) as exc:
         warnings.warn(
-            f"{REPRO_BACKEND_ENV}={raw!r} unavailable ({exc}); "
+            f"{source}={name!r} unavailable ({exc}); "
             "falling back to the numpy backend",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-        _default = NUMPY_BACKEND
-    return _default
+        return NUMPY_BACKEND
 
 
 refresh_from_env()

@@ -26,19 +26,18 @@ Every call may be timed by the attached device model (see
 from __future__ import annotations
 
 import contextlib
-import threading
 import time
-from typing import Iterator, Optional, Union
+from typing import ContextManager, Iterator, Optional, Union
 
 import numpy as np
 
+from repro import context as _context
 from repro.blas import backend as _backend
 from repro.blas.complex3m import gemm_3m_planned, gemm_4m_split_planned
-from repro.blas.modes import ComputeMode, resolve_mode
+from repro.blas.modes import ComputeMode, _resolve
 from repro.blas.plan import OrientedOperand, PreparedOperand, operand_handle
-from repro.blas.policy import active_policy
 from repro.blas.rounding import round_to_precision
-from repro.blas.verbose import VerboseRecord, emit_call, observing
+from repro.blas.verbose import VerboseRecord, _emit, _log_for
 from repro.blas.workspace import split_gemm_fused
 from repro.telemetry.provenance import register_call_site, site_scope
 from repro.telemetry.registry import active as _telemetry_active
@@ -60,53 +59,35 @@ __all__ = [
 
 _TRANS_VALUES = ("N", "T", "C")
 
-_state = threading.local()
-
 
 # ----------------------------------------------------------------------
 # Device-model and call-site hooks.
 # ----------------------------------------------------------------------
 
 
-@contextlib.contextmanager
-def use_device(device) -> Iterator[None]:
+def use_device(device) -> ContextManager[None]:
     """Attach a :class:`repro.gpu.executor.Device` for the scope.
 
     While active, every GEMM asks the device to predict its execution
     time on the modelled hardware and records a kernel event on the
     device's timeline.  ``device=None`` silences modelling.
     """
-    prev = getattr(_state, "device", None)
-    _state.device = device
-    try:
-        yield
-    finally:
-        _state.device = prev
+    return _context.scoped(device=device)
 
 
 def current_device():
     """The device attached by the innermost :func:`use_device`, if any."""
-    return getattr(_state, "device", None)
+    return _context.current().device
 
 
-@contextlib.contextmanager
-def call_site(name: str) -> Iterator[None]:
+def call_site(name: str) -> ContextManager[None]:
     """Label GEMMs issued in this scope with an application site name.
 
     DCMESH uses this to tag calls as ``nlp_prop`` / ``calc_energy`` /
     ``remap_occ`` so the harness can group per-function timings the
     way the paper's MKL_VERBOSE analysis does.
     """
-    prev = getattr(_state, "site", "")
-    _state.site = name
-    try:
-        yield
-    finally:
-        _state.site = prev
-
-
-def _current_site() -> str:
-    return getattr(_state, "site", "")
+    return _context.scoped(site=name)
 
 
 # ----------------------------------------------------------------------
@@ -176,12 +157,26 @@ def _working_dtype(a: np.ndarray, b: np.ndarray) -> np.dtype:
     return np.dtype(np.float64)
 
 
+def _call_mode(explicit, ctx) -> ComputeMode:
+    """Mode of one GEMM issued in ``ctx``: explicit > site policy >
+    ambient (context / global / environment).
+
+    Site policies are the per-call mixing the paper's env-var method
+    cannot express (Section IV-D).
+    """
+    if explicit is None and ctx.policy is not None:
+        site_mode = ctx.policy.mode_for(ctx.site)
+        if site_mode is not None:
+            return site_mode
+    return _resolve(explicit, ctx.mode)
+
+
 def _compute(
     a_h: OrientedOperand,
     b_h: OrientedOperand,
     mode: ComputeMode,
     dtype: np.dtype,
-    be=None,
+    be,
 ) -> np.ndarray:
     """Run ``op(A) @ op(B)`` under ``mode`` over operand handles.
 
@@ -189,13 +184,9 @@ def _compute(
     real/imag parts, split-term stacks) from their plans, so a
     prepared/cached operand contributes no per-call conversion work.
     ``be`` is the :class:`~repro.blas.backend.ArrayBackend` executing
-    the level-3 products; the entry points capture the ambient backend
-    once per call and pass it down, so the default (NumPy) path costs
-    exactly one thread-scoped :func:`~repro.blas.backend.active_backend`
-    read.
+    the level-3 products; the entry points take it from their one
+    execution-context read and pass it down.
     """
-    if be is None:
-        be = _backend.active_backend()
     is_complex = dtype.kind == "c"
     is_single = dtype in (np.dtype(np.float32), np.dtype(np.complex64))
 
@@ -284,54 +275,61 @@ def gemm(
     numpy.ndarray
         The ``m x n`` result in the promoted storage dtype.
     """
+    return _dispatch("gemm", a, b, alpha, trans_a, trans_b, mode, beta, c)
+
+
+def _dispatch(function, a, b, alpha, trans_a, trans_b, mode, beta=0.0, c=None):
+    """The body of :func:`gemm` (2-D operands) and
+    :func:`repro.blas.batch.gemm_batch` (3-D stacks, ``function ==
+    "gemm_batch"``): one execution-context read, one mode resolution,
+    one device booking and one MKL_VERBOSE record per call."""
+    batched = function == "gemm_batch"
+    ndim = 3 if batched else 2
     a_plan = a if isinstance(a, PreparedOperand) else None
     b_plan = b if isinstance(b, PreparedOperand) else None
     a_arr = a_plan.array if a_plan is not None else np.asarray(a)
     b_arr = b_plan.array if b_plan is not None else np.asarray(b)
-    if a_arr.ndim != 2 or b_arr.ndim != 2:
+    if a_arr.ndim != ndim or b_arr.ndim != ndim:
         raise ValueError(
-            f"gemm requires 2-D operands, got {a_arr.ndim}-D and {b_arr.ndim}-D"
+            f"{function} requires {ndim}-D operands, "
+            f"got {a_arr.ndim}-D and {b_arr.ndim}-D"
+        )
+    if batched and a_arr.shape[0] != b_arr.shape[0]:
+        raise ValueError(
+            f"batch dimensions differ: {a_arr.shape[0]} vs {b_arr.shape[0]}"
         )
     if trans_a not in _TRANS_VALUES or trans_b not in _TRANS_VALUES:
         raise ValueError(
             f"trans flags must be in {_TRANS_VALUES}, got {trans_a!r}, {trans_b!r}"
         )
     if finite_checks_enabled():
-        _assert_finite("gemm", a_arr, b_arr, a_plan, b_plan)
+        _assert_finite(function, a_arr, b_arr, a_plan, b_plan)
 
+    ctx = _context.current()
     dtype = _working_dtype(a_arr, b_arr)
-
-    # Mode resolution: explicit > site policy > ambient (context /
-    # global / environment).  Site policies are the per-call mixing
-    # the paper's env-var method cannot express (Section IV-D).
-    effective = None
-    if mode is None:
-        policy = active_policy()
-        if policy is not None:
-            effective = policy.mode_for(_current_site())
-    if effective is None:
-        effective = resolve_mode(mode)
+    effective = _call_mode(mode, ctx)
     routine = _routine_name(dtype)
 
     a_h = operand_handle(a_plan if a_plan is not None else a_arr, trans_a, dtype)
     b_h = operand_handle(b_plan if b_plan is not None else b_arr, trans_b, dtype)
-    op_a_shape = a_h.shape
-    op_b_shape = b_h.shape
-    if op_a_shape[1] != op_b_shape[0]:
+    a_shape, b_shape = a_h.shape, b_h.shape
+    if a_shape[-1] != b_shape[-2]:
         raise ValueError(
-            f"inner dimensions differ: op(A) is {op_a_shape}, op(B) is {op_b_shape}"
+            f"inner dimensions differ: op(A) is {a_shape}, op(B) is {b_shape}"
         )
-    m, k = op_a_shape
-    n = op_b_shape[1]
+    m, k = a_shape[-2:]
+    n = b_shape[-1]
+    batch = a_shape[0] if batched else 1
 
     # Provenance only exists while a collector is installed; the
     # disabled path stays at the single global read below.
     site_id = ""
     if _telemetry_active() is not None:
-        site_id = register_call_site(_current_site() or "-", "gemm", routine, m, n, k)
+        site_id = register_call_site(
+            ctx.site or "-", function, routine, m, n, k, batch
+        )
 
-    # The one per-GEMM backend read: everything below receives `be`.
-    be = _backend.active_backend()
+    be = _backend._default if ctx.backend is None else ctx.backend
     t0 = time.perf_counter()
     if site_id:
         with site_scope(site_id):
@@ -350,14 +348,19 @@ def gemm(
             raise ValueError(f"C has shape {c.shape}, expected {(m, n)}")
         out = (out + beta * c.astype(dtype, copy=False)).astype(dtype, copy=False)
 
-    device = current_device()
+    device = ctx.device
     model_seconds = None
-    if device is not None:
-        model_seconds = device.record_gemm(
-            routine=routine, m=m, n=n, k=k, mode=effective, site=_current_site()
+    if device is not None and batched:
+        model_seconds = device.record_gemm_batch(
+            routine=routine, m=m, n=n, k=k, batch=batch, mode=effective, site=ctx.site
         )
-    if observing():
-        emit_call(
+    elif device is not None:
+        model_seconds = device.record_gemm(
+            routine=routine, m=m, n=n, k=k, mode=effective, site=ctx.site
+        )
+    log = _log_for(ctx)
+    if log is not None or _telemetry_active() is not None:
+        _emit(
             VerboseRecord(
                 routine=routine,
                 trans_a=trans_a,
@@ -368,10 +371,12 @@ def gemm(
                 mode=effective,
                 seconds=wall,
                 model_seconds=model_seconds,
-                site=_current_site(),
+                site=ctx.site,
+                batch=batch,
                 site_id=site_id,
                 backend=be.cache_key,
-            )
+            ),
+            log,
         )
     return out
 

@@ -24,6 +24,7 @@ import os
 import threading
 from typing import Iterator, Optional, Union
 
+from repro import context as _context
 from repro.types import Precision
 
 __all__ = [
@@ -236,7 +237,6 @@ class ComputeMode(enum.Enum):
 # Selection machinery: per-call > scoped/global API > environment.
 # ----------------------------------------------------------------------
 
-_state = threading.local()
 _global_mode: Optional[ComputeMode] = None
 _global_lock = threading.Lock()
 
@@ -269,11 +269,18 @@ def resolve_mode(explicit: Union[str, ComputeMode, None]) -> ComputeMode:
     :func:`compute_mode` context, then :func:`set_compute_mode`, then
     the environment variable, then ``STANDARD``.
     """
+    return _resolve(explicit, _context.current().mode)
+
+
+def _resolve(
+    explicit: Union[str, ComputeMode, None], scoped: Optional[ComputeMode]
+) -> ComputeMode:
+    """:func:`resolve_mode` with the ``compute_mode`` scope's value
+    (``scoped``) already read from the execution context."""
     if explicit is not None:
         return ComputeMode.parse(explicit)
-    stack = getattr(_state, "stack", None)
-    if stack:
-        return stack[-1]
+    if scoped is not None:
+        return scoped
     if _global_mode is not None:
         return _global_mode
     env = mode_from_env()
@@ -284,17 +291,11 @@ def resolve_mode(explicit: Union[str, ComputeMode, None]) -> ComputeMode:
 
 @contextlib.contextmanager
 def compute_mode(mode: Union[str, ComputeMode]) -> Iterator[ComputeMode]:
-    """Scoped compute-mode override (thread-local, re-entrant).
+    """Scoped compute-mode override (per execution context, re-entrant).
 
     >>> with compute_mode("FLOAT_TO_BF16"):
     ...     C = cgemm(A, B)          # runs in BF16 mode
     """
     parsed = ComputeMode.parse(mode)
-    stack = getattr(_state, "stack", None)
-    if stack is None:
-        stack = _state.stack = []
-    stack.append(parsed)
-    try:
+    with _context.scoped(mode=parsed):
         yield parsed
-    finally:
-        stack.pop()

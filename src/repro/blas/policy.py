@@ -29,11 +29,10 @@ import contextlib
 import threading
 from typing import Dict, Iterator, Optional, Union
 
+from repro import context as _context
 from repro.blas.modes import ComputeMode
 
 __all__ = ["SitePolicy", "AdaptiveSitePolicy", "active_policy"]
-
-_state = threading.local()
 
 
 class SitePolicy:
@@ -65,15 +64,9 @@ class SitePolicy:
 
     @contextlib.contextmanager
     def active(self) -> Iterator["SitePolicy"]:
-        """Install this policy for the scope (thread-local, nestable)."""
-        stack = getattr(_state, "stack", None)
-        if stack is None:
-            stack = _state.stack = []
-        stack.append(self)
-        try:
+        """Install this policy for the scope (per execution context, nestable)."""
+        with _context.scoped(policy=self):
             yield self
-        finally:
-            stack.pop()
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{s}={m.env_value}" for s, m in self._modes.items())
@@ -128,5 +121,4 @@ class AdaptiveSitePolicy(SitePolicy):
 
 def active_policy() -> Optional[SitePolicy]:
     """The innermost installed policy, if any."""
-    stack = getattr(_state, "stack", None)
-    return stack[-1] if stack else None
+    return _context.current().policy

@@ -5,8 +5,12 @@ from ``MKL_VERBOSE=2`` output: one line per BLAS call carrying the
 routine name, matrix dimensions and synchronous timing.  We reproduce
 the mechanism: when verbosity is enabled (environment variable
 ``MKL_VERBOSE`` or the :func:`mkl_verbose` context manager), every GEMM
-appends a :class:`VerboseRecord` to a thread-local log and can render
-it in an MKL-look-alike text form.
+appends a :class:`VerboseRecord` to a log and can render it in an
+MKL-look-alike text form.  Inside an :func:`mkl_verbose` scope the log
+is that scope's list, held in the execution context
+(:mod:`repro.context`), so workers started with
+:func:`repro.context.fan_out` write into it too; outside any scope,
+``MKL_VERBOSE``-driven records go to one process log.
 
 Records carry *two* timings: ``seconds`` (wall-clock of the emulation
 itself, only meaningful for relative software cost) and
@@ -17,7 +21,7 @@ number the reproduction actually reports — see
 Since the telemetry subsystem landed, this log is one *consumer* of a
 unified per-call event stream: the GEMM entry points emit each
 :class:`VerboseRecord` once through :func:`emit_call`, which feeds the
-thread-local verbose log (when ``MKL_VERBOSE`` is on) and the installed
+verbose log (when logging is on) and the installed
 :class:`repro.telemetry.Telemetry` collector (when telemetry is on).
 The MKL-look-alike line format and its parser
 (:func:`repro.profiling.mklverbose.parse_verbose_line`) are unchanged.
@@ -28,9 +32,9 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import os
-import threading
 from typing import Iterator, List, Optional
 
+from repro import context as _context
 from repro.blas.modes import ComputeMode
 from repro.telemetry.registry import active as _telemetry_active
 
@@ -47,8 +51,6 @@ __all__ = [
 ]
 
 MKL_VERBOSE_ENV = "MKL_VERBOSE"
-
-_state = threading.local()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,38 +83,41 @@ class VerboseRecord:
         return self.model_seconds if self.model_seconds is not None else self.seconds
 
 
+#: Where ``MKL_VERBOSE``-driven records go outside any mkl_verbose scope.
+_process_log: List[VerboseRecord] = []
+
+
+def _log_for(ctx) -> Optional[List[VerboseRecord]]:
+    """The log a call issued in ``ctx`` appends to; ``None`` when off."""
+    if ctx.verbose_log is not None:
+        return ctx.verbose_log
+    if os.environ.get(MKL_VERBOSE_ENV, "").strip() not in ("", "0"):
+        return _process_log
+    return None
+
+
 def verbose_enabled() -> bool:
     """Whether calls are currently being logged."""
-    depth = getattr(_state, "depth", 0)
-    if depth > 0:
-        return True
-    raw = os.environ.get(MKL_VERBOSE_ENV, "")
-    return raw.strip() not in ("", "0")
-
-
-def _log() -> List[VerboseRecord]:
-    log = getattr(_state, "log", None)
-    if log is None:
-        log = _state.log = []
-    return log
+    return _log_for(_context.current()) is not None
 
 
 def get_verbose_log() -> List[VerboseRecord]:
-    """The thread-local list of records accumulated so far."""
-    return _log()
+    """The innermost :func:`mkl_verbose` scope's records, else the
+    process log."""
+    log = _context.current().verbose_log
+    return _process_log if log is None else log
 
 
 def clear_verbose_log() -> None:
-    """Drop all accumulated records for this thread."""
-    _log().clear()
+    """Drop all records of :func:`get_verbose_log`."""
+    get_verbose_log().clear()
 
 
 def observing() -> bool:
     """Whether any consumer (verbose log, telemetry) wants call records.
 
-    The GEMM entry points use this as the single guard around building
-    a :class:`VerboseRecord`; with both consumers off the per-call cost
-    is two cheap checks and no allocation.
+    With both consumers off the per-call cost is two cheap checks and no
+    allocation.
     """
     return _telemetry_active() is not None or verbose_enabled()
 
@@ -120,13 +125,17 @@ def observing() -> bool:
 def emit_call(record: VerboseRecord) -> None:
     """Publish one BLAS call record to every active consumer.
 
-    This is the unified per-call event stream: the thread-local verbose
-    log (MKL_VERBOSE look-alike) and the telemetry registry both
-    receive the *same* record object, so the two views can never
-    disagree about what ran.
+    This is the unified per-call event stream: the verbose log
+    (MKL_VERBOSE look-alike) and the telemetry registry both receive
+    the *same* record object, so the two views can never disagree
+    about what ran.
     """
-    if verbose_enabled():
-        _log().append(record)
+    _emit(record, _log_for(_context.current()))
+
+
+def _emit(record: VerboseRecord, log: Optional[List[VerboseRecord]]) -> None:
+    if log is not None:
+        log.append(record)
     collector = _telemetry_active()
     if collector is not None:
         collector.blas_call(record)
@@ -141,17 +150,16 @@ def record_call(record: VerboseRecord) -> None:
 def mkl_verbose(clear: bool = True) -> Iterator[List[VerboseRecord]]:
     """Enable per-call logging for a scope and yield the live log.
 
+    ``clear=True`` starts a fresh list; ``clear=False`` keeps appending
+    to the enclosing scope's list (or the process log).
+
     >>> with mkl_verbose() as log:
     ...     cgemm(A, B)
     >>> log[0].routine, log[0].m
     """
-    if clear:
-        clear_verbose_log()
-    _state.depth = getattr(_state, "depth", 0) + 1
-    try:
-        yield _log()
-    finally:
-        _state.depth -= 1
+    log = [] if clear else get_verbose_log()
+    with _context.scoped(verbose_log=log):
+        yield log
 
 
 def format_verbose_line(rec: VerboseRecord) -> str:

@@ -19,11 +19,10 @@ Two evaluation paths are provided:
 from __future__ import annotations
 
 import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.blas.modes import ComputeMode
+from repro.context import fan_out
 from repro.core.theoretical import peak_theoretical_speedup
 from repro.gpu.gemm_model import GemmModel
 from repro.gpu.specs import DeviceSpec, MAX_1550_STACK
@@ -50,19 +49,14 @@ def parallel_mode_sweep(
     """Evaluate ``worker(mode)`` for every mode concurrently.
 
     The compute modes are independent of each other — each run reads
-    its own inputs and the mode is passed *explicitly* (never via the
-    thread-local ambient mode), so fanning them out over a thread pool
-    is safe; NumPy's BLAS releases the GIL inside the matmuls.  Results
-    come back in mode order, exactly like the serial loop.
-
-    Backend selection *is* thread-scoped (``use_backend``), so the
-    caller's ambient backend is captured at submission and re-entered
-    in each worker — a sweep inside ``use_backend("torch")`` runs every
-    mode on torch, same as the serial loop.
+    its own inputs and the mode is passed explicitly — so they fan out
+    over threads (:func:`repro.context.fan_out`; NumPy's BLAS releases
+    the GIL inside the matmuls).  Each worker runs in a copy of the
+    caller's execution context, so scoped state (``use_backend``,
+    ``mkl_verbose``, ``use_device``, ``call_site``) applies exactly as
+    in the serial loop.  Results come back in mode order.
     """
     modes = list(SWEEP_MODES if modes is None else modes)
-    if not modes:
-        return []
 
     def run_one(mode: ComputeMode) -> _T:
         # Per-mode span so a sweep's phase structure shows up in the
@@ -75,21 +69,8 @@ def parallel_mode_sweep(
         ):
             return worker(mode)
 
-    workers = max_workers or min(len(modes), os.cpu_count() or 1)
-    if workers <= 1 or len(modes) == 1:
-        return [run_one(m) for m in modes]
+    return fan_out(run_one, modes, max_workers=max_workers)
 
-    from repro.blas.backend import active_backend, use_backend
-
-    ambient = active_backend()
-
-    def run_pooled(mode: ComputeMode) -> _T:
-        with use_backend(ambient):
-            return run_one(mode)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_pooled, m) for m in modes]
-        return [f.result() for f in futures]
 
 #: Orbital counts of Fig. 3b / Table VII.
 FIG3B_NORBS = (256, 1024, 2048, 4096)

@@ -16,11 +16,11 @@ produces exactly the serial results.
 from __future__ import annotations
 
 import dataclasses
-import os
-from concurrent.futures import ProcessPoolExecutor
+import functools
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.blas.modes import ComputeMode
+from repro.context import fan_out
 from repro.core.deviation import OBSERVABLES, DeviationSeries, deviation_from_reference
 from repro.dcmesh.simulation import Simulation, SimulationConfig, SimulationResult
 
@@ -100,29 +100,33 @@ class PrecisionStudy:
         """Execute the reference plus every alternative-mode run.
 
         ``parallel=True`` fans the per-mode runs out over a process
-        pool (one worker per mode by default, capped at the CPU
-        count); results are bitwise identical to the serial path.
+        pool (:func:`repro.context.fan_out`; one worker per mode by
+        default, capped at the CPU count) that receives the set-up
+        simulation and the caller's execution snapshot; results are
+        bitwise identical to the serial path.
         """
         sim = Simulation(self.config)
         sim.setup()  # one shared FP64 ground state
         all_modes = (ComputeMode.STANDARD, *self.modes)
-        results: Dict[ComputeMode, SimulationResult] = {}
         if parallel:
-            workers = max_workers or min(len(all_modes), os.cpu_count() or 1)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    mode: pool.submit(_run_one_mode, sim, mode, n_steps)
-                    for mode in all_modes
-                }
-                for mode, future in futures.items():
-                    if progress is not None:
-                        progress(mode)
-                    results[mode] = future.result()
+            if progress is not None:
+                for mode in all_modes:
+                    progress(mode)
+            # _run_one_mode is looked up now, not at import: harnesses
+            # swap it to time each worker's trajectory.
+            runs = fan_out(
+                functools.partial(_run_mode_of, _run_one_mode, sim, n_steps),
+                all_modes,
+                max_workers=max_workers,
+                processes=True,
+            )
         else:
+            runs = []
             for mode in all_modes:
                 if progress is not None:
                     progress(mode)
-                results[mode] = sim.run(mode=mode, n_steps=n_steps)
+                runs.append(sim.run(mode=mode, n_steps=n_steps))
+        results = dict(zip(all_modes, runs))
         deviations = deviation_from_reference(results, self.observables)
         return StudyResult(config=self.config, results=results, deviations=deviations)
 
@@ -153,6 +157,11 @@ def _run_one_mode(
 ) -> SimulationResult:
     """Worker body for the parallel study (module-level: picklable)."""
     return sim.run(mode=mode, n_steps=n_steps)
+
+
+def _run_mode_of(run_one, sim, n_steps, mode) -> SimulationResult:
+    """``run_one(sim, mode, n_steps)`` with the mode last, for fan_out."""
+    return run_one(sim, mode, n_steps)
 
 
 # ----------------------------------------------------------------------

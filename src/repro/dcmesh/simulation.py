@@ -521,11 +521,7 @@ class Simulation:
 
         # Install the monitor ambiently for the loop so the propagator's
         # QD-step hook ticks it even when it was passed explicitly.
-        dm_scope = (
-            drift_monitoring(dm)
-            if dm is not None and active_drift_monitor() is not dm
-            else contextlib.nullcontext()
-        )
+        dm_scope = drift_monitoring(dm) if dm is not None else contextlib.nullcontext()
         # The scheduler's policy resolves ahead of the compute_mode
         # context (per-call priority: explicit > policy > context), so
         # installing both keeps the FP64 phase's behaviour intact while

@@ -32,11 +32,10 @@ Layers, bottom-up:
     cell key at merge time, first completion wins.
 
 ``repro.distrib.collector``
-    Ambient-environment capture/re-entry (``REPRO_TELEMETRY``,
-    ``REPRO_BACKEND``, ``REPRO_OZAKI_SLICES``, ``REPRO_DRIFT``, ...)
-    so processes inherit exactly what threads do for free, plus the
-    per-cell telemetry stream and its cross-worker merge
-    (``distrib.*`` counters, per-shard attribution).
+    The per-cell telemetry stream and its cross-worker merge
+    (``distrib.*`` counters, per-shard attribution).  The ambient
+    settings reach workers as a :func:`repro.context.snapshot` stored
+    in the manifest.
 
 ``repro.distrib.driver``
     The async API: ``submit(spec) -> JobHandle`` with ``status()`` /
@@ -48,7 +47,6 @@ and the multi-host recipe.
 """
 
 from repro.distrib.cells import Cell, SweepSpec, run_cell
-from repro.distrib.collector import CAPTURED_ENV_VARS, apply_captured_env, capture_env
 from repro.distrib.driver import (
     IncompleteJobError,
     JobHandle,
@@ -65,9 +63,6 @@ __all__ = [
     "SweepSpec",
     "run_cell",
     "WorkQueue",
-    "CAPTURED_ENV_VARS",
-    "capture_env",
-    "apply_captured_env",
     "submit",
     "resume",
     "merge_results",

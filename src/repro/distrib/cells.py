@@ -261,10 +261,10 @@ def _run_experiment_cell(cell: Cell, params: dict) -> dict:
 
 
 def _run_probe_cell(cell: Cell, params: dict) -> dict:
-    """Report the ambient execution environment a worker re-entered.
+    """Report the ambient settings a worker restored.
 
-    Used by the env-propagation regression tests: the driver captures
-    backend/telemetry/precision state, the worker re-applies it, and
+    Used by the propagation regression tests: the driver snapshots
+    backend/telemetry/precision state, the worker restores it, and
     this cell proves what actually took effect — including one real
     (tiny) GEMM so the telemetry stream carries correctly-labelled
     ``blas.calls`` for the cell.
@@ -273,7 +273,7 @@ def _run_probe_cell(cell: Cell, params: dict) -> dict:
 
     from repro.blas.backend import active_backend
     from repro.blas.gemm import sgemm
-    from repro.blas.modes import MKL_COMPUTE_MODE_ENV, get_ozaki_slices
+    from repro.blas.modes import get_compute_mode, get_ozaki_slices
     from repro.core.scheduler import adaptive_enabled
     from repro.telemetry.drift import drift_enabled
     from repro.telemetry.registry import telemetry_enabled
@@ -288,7 +288,7 @@ def _run_probe_cell(cell: Cell, params: dict) -> dict:
         "telemetry": telemetry_enabled(),
         "drift": drift_enabled(),
         "adaptive": adaptive_enabled(),
-        "mode_env": os.environ.get(MKL_COMPUTE_MODE_ENV, ""),
+        "mode": get_compute_mode().env_value,
         "pid": os.getpid(),
     }
 

@@ -1,6 +1,6 @@
 """The async driver API: ``submit(spec) -> JobHandle`` and the merge.
 
-``submit`` captures the ambient environment, materialises a queue
+``submit`` snapshots the ambient settings, materialises a queue
 directory, launches local worker processes (plain ``sys.executable -m
 repro.distrib.worker`` subprocesses — the exact command a multi-host
 launch would run remotely), and returns immediately with a
@@ -30,12 +30,9 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from repro.context import snapshot
 from repro.distrib.cells import SweepSpec
-from repro.distrib.collector import (
-    capture_env,
-    distrib_counters,
-    merge_cell_telemetry,
-)
+from repro.distrib.collector import distrib_counters, merge_cell_telemetry
 from repro.distrib.queue import DEFAULT_LEASE_SECONDS, ShardStats, WorkQueue
 
 __all__ = [
@@ -252,9 +249,10 @@ def submit(
 ) -> JobHandle:
     """Explode ``spec`` into a queue and start draining it.
 
-    The ambient environment (backend, compute mode, telemetry, Ozaki
-    slices, drift/adaptive switches) is captured into the manifest so
-    every worker — local subprocess or remote — re-enters it.
+    The caller's execution snapshot (:func:`repro.context.snapshot`:
+    backend, compute mode, site policy, telemetry, Ozaki slices,
+    drift/adaptive switches) is stored in the manifest, and every
+    worker — local subprocess or remote — restores it.
 
     ``queue_dir=None`` uses a fresh temporary directory; pass a shared
     path to let other hosts join.  ``inline=True`` drains the queue in
@@ -269,7 +267,7 @@ def submit(
     queue = WorkQueue.create(
         queue_dir,
         spec,
-        env=capture_env(),
+        env=snapshot(),
         lease_seconds=lease_seconds,
         steal_after=steal_after,
     )
@@ -299,8 +297,8 @@ def _drain_inline(queue: WorkQueue, n_workers: int) -> None:
     """Drain a queue in-process, round-robin over synthetic worker ids.
 
     Exercises the identical claim/record protocol the subprocess path
-    uses (same ``run_worker``), without the spawn cost; the ambient
-    env is NOT re-applied — inline callers already carry it.
+    uses (same ``run_worker``), without the spawn cost; the snapshot
+    is NOT restored — inline callers already carry the ambient state.
     """
     from repro.distrib.worker import run_worker
 

@@ -5,7 +5,7 @@ queue is inspectable with ``cat`` and shareable over any filesystem
 both hosts can mount)::
 
     queue/
-      manifest.json            # spec, captured env, cell list, lease policy
+      manifest.json            # spec, context snapshot, cell list, lease policy
       leases/
         cell-000007.json       # current lease: worker, deadline, attempt
         cell-000007.steal-w1   # speculative re-issue marker (empty)
@@ -42,7 +42,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.distrib.cells import Cell, SweepSpec
 
@@ -150,7 +150,8 @@ class WorkQueue:
             )
         self.manifest = manifest
         self.spec = SweepSpec.from_json(manifest["spec"])
-        self.env: Dict[str, str] = dict(manifest.get("env", {}))
+        #: The submitter's repro.context.snapshot() ({} when none).
+        self.env: Dict[str, Any] = dict(manifest.get("env", {}))
         self.lease_seconds = float(manifest.get("lease_seconds", DEFAULT_LEASE_SECONDS))
         raw_steal = manifest.get("steal_after_seconds")
         self.steal_after: Optional[float] = (
@@ -169,15 +170,18 @@ class WorkQueue:
         cls,
         root: PathLike,
         spec: SweepSpec,
-        env: Optional[Dict[str, str]] = None,
+        env: Optional[Dict[str, Any]] = None,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         steal_after: Union[float, None, str] = "auto",
     ) -> "WorkQueue":
         """Initialise a queue directory for ``spec``.
 
-        ``steal_after="auto"`` (the default) arms work-stealing at half
-        the lease duration; ``None`` disables speculative re-issue
-        entirely (stragglers then recover only through lease expiry).
+        ``env`` is the execution snapshot workers restore
+        (:func:`repro.context.snapshot`); ``None`` stores an empty one,
+        which restores nothing.  ``steal_after="auto"`` (the default)
+        arms work-stealing at half the lease duration; ``None``
+        disables speculative re-issue entirely (stragglers then recover
+        only through lease expiry).
         """
         root = Path(root)
         if (root / MANIFEST_NAME).exists():

@@ -5,11 +5,11 @@ A worker needs exactly one thing — the queue directory::
     python -m repro.distrib.worker --queue /shared/queue --worker-id w0
 
 which makes multi-host launch trivial: point more processes at a
-directory every host can mount.  On start-up the worker re-applies the
-environment the driver captured into the manifest
-(:func:`repro.distrib.collector.apply_captured_env`), so backend /
-compute-mode / telemetry / drift state match the submitting process —
-the process analogue of what ``parallel_mode_sweep`` does for threads.
+directory every host can mount.  On start-up the worker restores the
+execution snapshot the driver stored in the manifest
+(:func:`repro.context.restore`), so backend / compute-mode / policy /
+drift state match the submitting process, and takes the telemetry
+switch from it.
 
 The loop, each pass over the manifest order:
 
@@ -38,8 +38,9 @@ import threading
 import time
 from typing import Optional
 
+from repro.context import restore
 from repro.distrib.cells import Cell, run_cell
-from repro.distrib.collector import apply_captured_env, snapshot_cell_telemetry
+from repro.distrib.collector import snapshot_cell_telemetry
 from repro.distrib.queue import WorkQueue
 
 __all__ = ["run_worker", "main"]
@@ -61,8 +62,9 @@ def _run_one(
     takeover: bool,
     stall_key: Optional[str],
     stall_seconds: float,
+    telemetry_on: bool,
 ) -> None:
-    """Execute one cell and append its result + telemetry records."""
+    """Execute one cell and append its result (+ telemetry) records."""
     from repro.telemetry import registry
 
     cell: Cell = queue.cells[index]
@@ -71,7 +73,6 @@ def _run_one(
         # keeps the lease alive, so only work-stealing can recover the
         # idle tail this stall creates.
         time.sleep(stall_seconds)
-    telemetry_on = os.environ.get(registry.TELEMETRY_ENV, "").strip() not in ("", "0")
     collector = registry.enable(registry.Telemetry()) if telemetry_on else None
     start = time.perf_counter()
     try:
@@ -107,14 +108,15 @@ def run_worker(
     """Drain ``queue_dir`` until every cell is complete.
 
     Returns the number of cells this worker executed.  ``max_cells``
-    bounds that count (inline/test use); ``apply_env=False`` skips the
-    manifest-env re-entry for in-process callers that already carry
-    the ambient state.
+    bounds that count (inline/test use); ``apply_env=False`` skips
+    restoring the manifest's snapshot (and per-cell telemetry) for
+    in-process callers that already carry the ambient state.
     """
     queue = WorkQueue(queue_dir)
     worker_id = worker_id or default_worker_id()
     if apply_env:
-        apply_captured_env(queue.env)
+        restore(queue.env)
+    telemetry_on = apply_env and bool(queue.env.get("telemetry"))
     executed = 0
     while max_cells is None or executed < max_cells:
         done = queue.completed_keys()
@@ -147,6 +149,7 @@ def run_worker(
                     takeover=outcome.takeover,
                     stall_key=stall_key,
                     stall_seconds=stall_seconds,
+                    telemetry_on=telemetry_on,
                 )
             finally:
                 stop_heartbeat.set()
@@ -167,6 +170,7 @@ def run_worker(
                 takeover=False,
                 stall_key=stall_key,
                 stall_seconds=stall_seconds,
+                telemetry_on=telemetry_on,
             )
             executed += 1
             continue

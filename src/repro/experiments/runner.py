@@ -13,10 +13,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 from typing import List, Optional
 
+from repro.context import fan_out
+from repro.core.scheduler import set_adaptive_enabled
 from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.telemetry.drift import set_drift_enabled
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,9 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the experiments through the repro.distrib work-queue "
         "engine on N local worker processes (checkpointable, "
         "work-stealing; see docs/DISTRIBUTED.md).  Unlike --jobs "
-        "threads, workers are separate processes that re-enter the "
-        "ambient backend/mode/telemetry environment; outputs are still "
-        "printed in deterministic serial order",
+        "threads, workers are separate processes that restore a "
+        "snapshot of the ambient backend/mode/telemetry settings; "
+        "outputs are still printed in deterministic serial order",
     )
     parser.add_argument(
         "--telemetry", default=None, metavar="DIR",
@@ -130,86 +134,63 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         scope = contextlib.nullcontext()
 
+    # Ambient enablement (reset on every exit path): Simulation.run sees
+    # no installed monitor and auto-creates one per run (budget from the
+    # first SCF block's ||H_nl||), as REPRO_DRIFT=1 would; --adaptive
+    # likewise auto-creates a default AdaptiveScheduler (and the drift
+    # monitor it feeds on), as REPRO_ADAPTIVE=1 would.
     if args.drift_budget:
-        # Ambient enablement: Simulation.run sees no installed monitor
-        # and auto-creates one per run (budget from the first SCF
-        # block's ||H_nl||), exactly as REPRO_DRIFT=1 would.
-        from repro.telemetry.drift import set_drift_enabled
-
         set_drift_enabled(True)
-
     if args.adaptive:
-        # Ambient enablement mirroring --drift-budget: Simulation.run
-        # auto-creates a default AdaptiveScheduler (and the drift
-        # monitor it feeds on) per run, as REPRO_ADAPTIVE=1 would.
-        from repro.core.scheduler import set_adaptive_enabled
-
         set_adaptive_enabled(True)
-
-    with backend_scope, scope:
-        if args.distrib > 0:
-            # Work-queue fan-out over worker *processes*: the driver
-            # captures the ambient backend/mode/telemetry environment
-            # into the queue manifest and every worker re-enters it
-            # (the process analogue of the --jobs thread pool).  Cell
-            # results merge back here — including per-cell telemetry,
-            # so one run_report.md covers the whole pool — and are
-            # printed in the deterministic serial order.
-            from repro.distrib import SweepSpec, submit
-
-            spec = SweepSpec(
-                kind="experiment",
-                experiments=tuple(names),
-                params={"fast": not args.full, "output_dir": args.output},
-            )
-            merged = submit(spec, n_workers=args.distrib).result()
-            by_name = {
-                payload["experiment"]: payload["text"]
-                for payload in merged.cells.values()
-            }
-            for name in names:
-                print(by_name[name])
-                print()
-        elif args.jobs > 1 and len(names) > 1:
-            # Independent artifacts fan out over a thread pool (NumPy
-            # releases the GIL in the GEMMs); outputs are printed in the
-            # deterministic serial order regardless of completion order.
-            # Backend selection is thread-scoped, so capture the ambient
-            # backend here and re-enter it in each worker — otherwise
-            # --backend would silently not apply to pooled experiments.
-            from concurrent.futures import ThreadPoolExecutor
-
-            from repro.blas.backend import active_backend
-            from repro.blas.backend import use_backend as _use_backend
-
-            ambient = active_backend()
-
-            def run_in_worker(name):
-                with _use_backend(ambient):
-                    return run_experiment(name, fast=not args.full, output_dir=args.output)
-
-            with ThreadPoolExecutor(max_workers=min(args.jobs, len(names))) as pool:
-                futures = [pool.submit(run_in_worker, name) for name in names]
-                for future in futures:
-                    print(future.result()["text"])
-                    print()
-        else:
-            for name in names:
-                result = run_experiment(name, fast=not args.full, output_dir=args.output)
-                print(result["text"])
-                print()
-    if args.drift_budget:
-        from repro.telemetry.drift import set_drift_enabled
-
-        set_drift_enabled(None)
-    if args.adaptive:
-        from repro.core.scheduler import set_adaptive_enabled
-
-        set_adaptive_enabled(None)
+    try:
+        with backend_scope, scope:
+            _run(names, args)
+    finally:
+        if args.drift_budget:
+            set_drift_enabled(None)
+        if args.adaptive:
+            set_adaptive_enabled(None)
     if args.telemetry is not None:
         print(f"telemetry exported to {args.telemetry}/ "
               "(trace.jsonl, trace.chrome.json, summary.txt, run_report.md)")
     return 0
+
+
+def _run(names: List[str], args: argparse.Namespace) -> None:
+    """Run ``names`` and print their outputs in the serial order."""
+    if args.distrib > 0:
+        # Work-queue fan-out over worker *processes*: the driver stores
+        # the caller's execution snapshot in the queue manifest and
+        # every worker restores it.  Cell results merge back here —
+        # including per-cell telemetry, so one run_report.md covers the
+        # whole pool.
+        from repro.distrib import SweepSpec, submit
+
+        spec = SweepSpec(
+            kind="experiment",
+            experiments=tuple(names),
+            params={"fast": not args.full, "output_dir": args.output},
+        )
+        merged = submit(spec, n_workers=args.distrib).result()
+        by_name = {
+            payload["experiment"]: payload["text"]
+            for payload in merged.cells.values()
+        }
+        texts = [by_name[name] for name in names]
+    else:
+        # Independent artifacts fan out over threads (NumPy releases the
+        # GIL in the GEMMs); each worker runs in a copy of this context,
+        # so --backend applies to it.
+        results = fan_out(
+            functools.partial(run_experiment, fast=not args.full, output_dir=args.output),
+            names,
+            max_workers=args.jobs,
+        )
+        texts = [result["text"] for result in results]
+    for text in texts:
+        print(text)
+        print()
 
 
 if __name__ == "__main__":

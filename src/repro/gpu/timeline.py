@@ -10,10 +10,16 @@ total device time, per-kernel-name aggregation, per-site aggregation.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from collections import defaultdict
 from typing import Dict, List
 
 __all__ = ["KernelEvent", "Timeline"]
+
+#: Serialises the read-then-advance of every timeline's clock: workers
+#: started with repro.context.fan_out book into their caller's device.
+#: One module lock keeps Timeline (and a Device holding it) picklable.
+_append_lock = threading.Lock()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,9 +60,12 @@ class Timeline:
         """Record a kernel of ``duration`` seconds; advances the clock."""
         if duration < 0:
             raise ValueError(f"negative kernel duration: {duration}")
-        event = KernelEvent(name=name, start=self._clock, duration=duration, kind=kind, site=site)
-        self._events.append(event)
-        self._clock += duration
+        with _append_lock:
+            event = KernelEvent(
+                name=name, start=self._clock, duration=duration, kind=kind, site=site
+            )
+            self._events.append(event)
+            self._clock += duration
         return event
 
     def reset(self) -> None:

@@ -33,7 +33,8 @@ Import discipline: this module is imported by the BLAS/propagation hot
 path's neighbours (``dcmesh.simulation`` / ``dcmesh.propagate``), and
 ``core.deviation`` imports ``dcmesh.simulation`` — so everything from
 ``repro.core`` is imported lazily inside methods, never at module
-scope.  The only top-level imports are numpy, the standard library and
+scope.  The only top-level imports are numpy, the standard library,
+:mod:`repro.context` (which holds the ambient monitor) and
 :mod:`repro.telemetry.registry`.
 """
 
@@ -47,6 +48,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro import context as _context
 from repro.telemetry.registry import active as _telemetry_active
 
 __all__ = [
@@ -550,7 +552,6 @@ class DriftMonitor:
 # Ambient installation (the --drift-budget / REPRO_DRIFT path).
 # ----------------------------------------------------------------------
 
-_installed: Optional[DriftMonitor] = None
 _enabled_override: Optional[bool] = None
 
 
@@ -572,16 +573,14 @@ def set_drift_enabled(enabled: Optional[bool]) -> None:
 
 
 def install_drift_monitor(monitor: Optional[DriftMonitor]) -> Optional[DriftMonitor]:
-    """Install ``monitor`` as the ambient monitor; returns the previous one."""
-    global _installed
-    prev = _installed
-    _installed = monitor
-    return prev
+    """Install ``monitor`` as the ambient monitor of this execution
+    context; returns the previous one."""
+    return _context.update(drift_monitor=monitor).drift_monitor
 
 
 def active_drift_monitor() -> Optional[DriftMonitor]:
-    """The ambient monitor, if installed (one global read)."""
-    return _installed
+    """The ambient monitor of this execution context, if installed."""
+    return _context.current().drift_monitor
 
 
 @contextlib.contextmanager
@@ -595,8 +594,5 @@ def drift_monitoring(
     >>> dm.breaches()
     """
     dm = monitor if monitor is not None else DriftMonitor(**kwargs)
-    prev = install_drift_monitor(dm)
-    try:
+    with _context.scoped(drift_monitor=dm):
         yield dm
-    finally:
-        install_drift_monitor(prev)

@@ -32,21 +32,22 @@ whenever their shapes fall in the same class.  The registry interns
 every site it sees (:func:`register_call_site`), so the run-report
 generator can enumerate them with first-seen exact dimensions attached.
 
-A thread-local scope (:func:`site_scope` / :func:`current_site_id`)
-carries the active ID through the compute kernels, letting the
-plan-cache, workspace and complex-kernel counters in
-``repro.blas.{plan,workspace,complex3m}`` attribute their work to the
-BLAS call that triggered it.  All of this is only exercised while a
+A scope of the execution context (:func:`site_scope` /
+:func:`current_site_id`) carries the active ID through the compute
+kernels, letting the plan-cache, workspace and complex-kernel counters
+in ``repro.blas.{plan,workspace,complex3m}`` attribute their work to
+the BLAS call that triggered it.  All of this is only exercised while a
 telemetry collector is installed; the disabled hot path never calls
 into this module.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import threading
-from typing import Dict, Iterator, List, Optional
+from typing import ContextManager, Dict, List, Optional
+
+from repro import context as _context
 
 __all__ = [
     "CallSite",
@@ -177,29 +178,21 @@ def clear_sites() -> None:
 
 
 # ----------------------------------------------------------------------
-# Thread-local propagation through the compute kernels.
+# Propagation through the compute kernels (the execution context).
 # ----------------------------------------------------------------------
-
-_tls = threading.local()
 
 
 def current_site_id() -> str:
-    """The call-site ID of the BLAS invocation currently executing on
-    this thread (empty outside any :func:`site_scope`)."""
-    return getattr(_tls, "site_id", "")
+    """The call-site ID of the BLAS invocation currently executing in
+    this context (empty outside any :func:`site_scope`)."""
+    return _context.current().site_id
 
 
-@contextlib.contextmanager
-def site_scope(site_id: str) -> Iterator[None]:
+def site_scope(site_id: str) -> ContextManager[None]:
     """Attribute kernel-level telemetry to ``site_id`` for the scope.
 
     The GEMM entry points enter this scope around their compute
     dispatch (only while telemetry is installed), so the plan-derive,
     workspace and complex-kernel counters can carry a ``site`` label.
     """
-    prev = getattr(_tls, "site_id", "")
-    _tls.site_id = site_id
-    try:
-        yield
-    finally:
-        _tls.site_id = prev
+    return _context.scoped(site_id=site_id)

@@ -27,8 +27,8 @@ no-source-change contract as ``MKL_BLAS_COMPUTE_MODE`` and
 
 The :mod:`repro.blas.verbose` MKL-look-alike log is a *consumer* of the
 same per-call event stream (see :func:`repro.blas.verbose.emit_call`):
-one emission feeds both the thread-local ``VerboseRecord`` log and this
-registry, so the two can never disagree about what ran.
+one emission feeds both the ``VerboseRecord`` log and this registry,
+so the two can never disagree about what ran.
 """
 
 from __future__ import annotations

@@ -235,9 +235,11 @@ class TestWorkStealing:
 @pytest.mark.telemetry
 class TestEnvPropagation:
     def test_worker_processes_reenter_driver_env(self, tmp_path):
-        """Probe cells report the state each worker actually re-entered:
-        telemetry on, the driver's Ozaki slice count, drift on —
-        despite none of it being exported to os.environ here."""
+        """Probe cells report the state each worker actually restored:
+        telemetry on, the driver's Ozaki slice count, drift on, the
+        driver's scoped compute mode — despite none of it being
+        exported to os.environ here."""
+        from repro.blas.modes import compute_mode
         from repro.telemetry import registry
         from repro.telemetry.drift import set_drift_enabled
 
@@ -246,7 +248,8 @@ class TestEnvPropagation:
         set_drift_enabled(True)
         try:
             spec = SweepSpec(kind="probe", n_cells=4)
-            handle = submit(spec, n_workers=2, queue_dir=tmp_path / "q")
+            with compute_mode("FLOAT_TO_TF32"):
+                handle = submit(spec, n_workers=2, queue_dir=tmp_path / "q")
             merged = handle.result(timeout=60)
         finally:
             set_drift_enabled(None)
@@ -259,6 +262,7 @@ class TestEnvPropagation:
             assert payload["ozaki_slices"] == 2
             assert payload["telemetry"] is True
             assert payload["drift"] is True
+            assert payload["mode"] == "FLOAT_TO_TF32"
             pids.add(payload["pid"])
         assert os.getpid() not in pids  # genuinely ran out-of-process
 

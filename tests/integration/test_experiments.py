@@ -155,3 +155,48 @@ class TestRunnerCli:
 
         assert main(["table1", "--output", str(tmp_path)]) == 0
         assert (tmp_path / "table1.csv").exists()
+
+    def test_jobs_fan_out_keeps_serial_order_and_backend(self, monkeypatch, capsys):
+        from repro.blas import backend as backend_mod
+        from repro.blas.backend import NumpyBackend, active_backend, register_backend
+        from repro.blas.modes import get_compute_mode
+        from repro.experiments import runner
+
+        class Shadow(NumpyBackend):
+            name = "runner-shadow"
+
+        def fake_run(name, fast=True, output_dir=None):
+            seen = f"{active_backend().cache_key} {get_compute_mode().env_value}"
+            return {"text": f"{name}: {seen}"}
+
+        fakes = {"fake_a": (None, "first"), "fake_b": (None, "second")}
+        monkeypatch.setattr(runner, "EXPERIMENTS", fakes)
+        monkeypatch.setattr(runner, "run_experiment", fake_run)
+        register_backend(Shadow.name, Shadow)
+        try:
+            assert runner.main(["all", "--jobs", "2", "--backend", Shadow.name]) == 0
+        finally:
+            with backend_mod._instances_lock:
+                backend_mod._FACTORIES.pop(Shadow.name, None)
+                backend_mod._instances.pop(Shadow.name, None)
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln]
+        assert lines == [
+            "fake_a: runner-shadow STANDARD",
+            "fake_b: runner-shadow STANDARD",
+        ]
+
+    def test_switches_reset_when_an_experiment_raises(self, tmp_path):
+        from repro.core.scheduler import adaptive_enabled
+        from repro.experiments.runner import main
+        from repro.telemetry.drift import drift_enabled
+
+        (tmp_path / "f").write_text("a file, not a directory")
+        with pytest.raises(NotADirectoryError):
+            main(
+                [
+                    "table1", "--drift-budget", "--adaptive",
+                    "--output", str(tmp_path / "f" / "out"),
+                ]
+            )
+        assert not drift_enabled()
+        assert not adaptive_enabled()

@@ -1,5 +1,10 @@
 """Integration: the full Fig. 1/2 accuracy methodology on a small system."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -178,6 +183,43 @@ class TestDeterminism:
                     serial.results[mode].column(col),
                     par.results[mode].column(col),
                 )
+
+    def test_spawned_parallel_study_keeps_ozaki_slices(self, tmp_path):
+        """Under ``spawn`` nothing is inherited: the workers must get the
+        slice count from the caller's snapshot (``fork`` would copy it
+        and hide a missing field)."""
+        script = tmp_path / "spawn_study.py"
+        script.write_text(
+            "import multiprocessing\n"
+            "import numpy as np\n"
+            "from repro.blas.modes import ComputeMode, set_ozaki_slices\n"
+            "from repro.core.study import PrecisionStudy\n"
+            "from repro.dcmesh.simulation import SimulationConfig\n"
+            "if __name__ == '__main__':\n"
+            "    multiprocessing.set_start_method('spawn')\n"
+            "    set_ozaki_slices(2)\n"
+            "    cfg = SimulationConfig.small_test(\n"
+            "        mesh_shape=(10, 10, 10), n_orb=20, n_qd_steps=4, nscf=2)\n"
+            "    study = PrecisionStudy(cfg, modes=(ComputeMode.OZAKI_INT8,))\n"
+            "    serial = study.run()\n"
+            "    par = study.run(parallel=True, max_workers=2)\n"
+            "    for mode, res in serial.results.items():\n"
+            "        other = par.results[mode]\n"
+            "        assert np.array_equal(res.final_psi.view(np.uint64),\n"
+            "                              other.final_psi.view(np.uint64)), mode\n"
+            "        for col in ('ekin', 'nexc', 'javg'):\n"
+            "            assert np.array_equal(res.column(col), other.column(col))\n"
+            "    print('bitwise')\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True, text=True,
+            timeout=600,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "bitwise"
 
     def test_env_var_run_equals_api_run(self, monkeypatch):
         from repro.dcmesh.simulation import Simulation

@@ -23,6 +23,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro import context
 from repro.blas import backend as backend_mod
 from repro.blas.backend import (
     ArrayBackend,
@@ -79,13 +80,12 @@ class ShadowBackend(NumpyBackend):
 @pytest.fixture(autouse=True)
 def _numpy_backend_between_tests():
     prev_default = backend_mod._default
-    prev_override = getattr(backend_mod._tls, "backend", None)
+    prev_override = context.update(backend=None).backend
     backend_mod._default = NUMPY_BACKEND
-    backend_mod._tls.backend = None
     clear_workspace()
     yield
     backend_mod._default = prev_default
-    backend_mod._tls.backend = prev_override
+    context.update(backend=prev_override)
     clear_workspace()
 
 

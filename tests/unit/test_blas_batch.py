@@ -52,6 +52,23 @@ class TestSemantics:
             gemm_batch(a, b, alpha=2.0), 2.0 * gemm_batch(a, b), rtol=1e-6
         )
 
+    def test_site_policy_applies_like_gemm(self, rng):
+        from repro.blas.gemm import call_site
+        from repro.blas.policy import SitePolicy
+
+        a, b = _stack(rng, batch=3, m=8, k=64, n=8)
+        with SitePolicy({"remap_occ": "FLOAT_TO_BF16"}).active(), call_site(
+            "remap_occ"
+        ):
+            with mkl_verbose() as log:
+                batched = gemm_batch(a, b)
+            per_slice = [gemm(a[i], b[i]) for i in range(3)]
+        assert log[0].mode is ComputeMode.FLOAT_TO_BF16
+        for i in range(3):
+            assert np.array_equal(
+                batched[i].view(np.uint32), per_slice[i].view(np.uint32)
+            )
+
     def test_validation(self, rng):
         a, b = _stack(rng)
         with pytest.raises(ValueError, match="3-D"):

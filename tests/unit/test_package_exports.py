@@ -22,6 +22,7 @@ PACKAGES = [
 
 MODULES = [
     "repro.types",
+    "repro.context",
     "repro.blas.rounding",
     "repro.blas.modes",
     "repro.blas.gemm",
