@@ -12,7 +12,8 @@ Mode semantics (matching oneMKL):
   exactly as in MKL (which is why the paper's QXMD FP64 phase is
   untouched by the environment variable).
 * ``OZAKI_INT8`` is likewise single-only: scaled INT8 slice products
-  with exact integer accumulation, rescaled and summed in FP32.
+  with exact integer accumulation, summed in FP64 and rounded once to
+  FP32.
 * ``EMULATED_FP64`` applies at *either* width: FP64 operands split
   into three FP32 terms (exact), FP32 operands into one, with all
   pair products accumulated at FP64.

@@ -25,6 +25,7 @@ import threading
 from typing import Iterator, Optional, Union
 
 from repro import context as _context
+from repro.blas.rounding import OZAKI_MAX_SLICES
 from repro.types import Precision
 
 __all__ = [
@@ -49,20 +50,14 @@ MKL_COMPUTE_MODE_ENV = "MKL_BLAS_COMPUTE_MODE"
 #: without source changes.
 OZAKI_SLICES_ENV = "REPRO_OZAKI_SLICES"
 
-#: Largest accepted slice count.  Eight 7-bit slices already carry 56
-#: significant bits — beyond FP32 storage can even express — and the
-#: exactness argument (integer dot products below 2**53) wants the
-#: per-slice scale gaps bounded.
-_MAX_OZAKI_SLICES = 8
-
 _ozaki_slices_override: Optional[int] = None
 
 
 def _validate_slices(n: int) -> int:
     n = int(n)
-    if not 1 <= n <= _MAX_OZAKI_SLICES:
+    if not 1 <= n <= OZAKI_MAX_SLICES:
         raise ValueError(
-            f"ozaki slice count must be in [1, {_MAX_OZAKI_SLICES}], got {n}"
+            f"ozaki slice count must be in [1, {OZAKI_MAX_SLICES}], got {n}"
         )
     return n
 
@@ -80,7 +75,7 @@ def get_ozaki_slices(environ=None) -> int:
     except (TypeError, ValueError):
         raise ValueError(
             f"{OZAKI_SLICES_ENV} must be an integer in "
-            f"[1, {_MAX_OZAKI_SLICES}], got {raw!r}"
+            f"[1, {OZAKI_MAX_SLICES}], got {raw!r}"
         ) from None
 
 

@@ -61,6 +61,7 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro.blas.rounding import (
+    OzakiSlices,
     emulated_fp64_split_terms,
     extend_split,
     ozaki_slice_terms,
@@ -148,6 +149,10 @@ _PAIR_INDEX = {"re": 0, "im": 1}
 #: plus Ozaki stacks when the cut runs across their fibres.
 _SLICEABLE_KINDS = ("oriented", "parts", "split", "ozaki", "efp64")
 
+#: The ``trans`` whose packing of ``B`` is ``op(B)``ᵀ (for ``'C'`` up to
+#: the conjugation, which :meth:`PreparedOperand.ozaki_stack` applies).
+_TRANSPOSED = {"N": "T", "T": "N", "C": "N"}
+
 
 class PreparedOperand:
     """Caches every derived form of one (frozen) GEMM operand.
@@ -220,10 +225,12 @@ class PreparedOperand:
         parent has cached that very form.  Ozaki stacks are sliced only
         when the cut runs across their fibres (``'T'``/``'C'`` for
         operand ``a``, ``'N'`` for ``b``); along them, the block's fibre
-        scales differ from the parent's.  Every other form is elementwise
-        in the operand, so the slice holds exactly the values the block
-        would derive itself: a row view for ``'T'``/``'C'``, a packed
-        copy of the columns for ``'N'``.
+        scales differ from the parent's.  Across them the block is a
+        block of the stack's rows (its fibres), so the slice is a row
+        view.  Every other form is elementwise in the operand, so the
+        slice holds exactly the values the block would derive itself: a
+        row view for ``'T'``/``'C'``, a packed copy of the columns for
+        ``'N'``.
         """
         kind = key[0]
         parent = self._parent() if self._parent is not None else None
@@ -237,6 +244,8 @@ class PreparedOperand:
         if form is None:
             return None
         start, stop = self._cols
+        if kind == "ozaki":
+            return form.select((..., slice(start, stop), slice(None)))
         if trans == "N":
             return np.ascontiguousarray(form[..., start:stop])
         return form[..., start:stop, :]
@@ -490,17 +499,20 @@ class PreparedOperand:
         part: Optional[str] = None,
         operand: str = "a",
         dtype: Optional[np.dtype] = None,
-    ) -> np.ndarray:
-        """Stacked Ozaki INT8 slice terms, ``(n_slices, *op_shape)``.
+    ) -> OzakiSlices:
+        """Ozaki INT8 slices with the contraction axis last.
 
-        ``operand`` selects the contraction axis of the fibre scaling:
-        ``'a'`` scales per row (axis -1), ``'b'`` per column (axis -2)
-        — the orientation that keeps every output dot product on one
-        fixed power-of-two scale per slice pair.  ``part`` works as for
-        :meth:`split_stack` (the pair's fibres never mix its parts).
-        Derivation replicates :func:`repro.blas.rounding.ozaki_slice_terms`
-        on the exact base array the cold path would build, so cached and
-        fresh stacks are bitwise identical.
+        ``operand`` selects the layout: ``'a'`` slices ``op(A)``, whose
+        rows are its fibres; ``'b'`` slices ``op(B)``ᵀ, so the fibres —
+        ``op(B)``'s columns — are rows there too and :meth:`columns`
+        children of either take a row view.  Each fibre has one
+        power-of-two scale, so every output dot product sees one fixed
+        scale per slice pair.  ``part`` works as for :meth:`split_stack`
+        (the pair's fibres never mix its parts).  The form is the
+        :class:`~repro.blas.rounding.OzakiSlices` that
+        :func:`repro.blas.rounding.ozaki_slice_terms` returns for the
+        exact values the cold path would slice, so cached and fresh
+        forms are bitwise identical.
         """
         if operand not in ("a", "b"):
             raise ValueError(f"operand must be 'a' or 'b', got {operand!r}")
@@ -508,14 +520,18 @@ class PreparedOperand:
             pair = self.ozaki_stack(
                 trans, n_slices, part=PAIR, operand=operand, dtype=dtype
             )
-            return pair[:, _PAIR_INDEX[part]]
-        axis = -1 if operand == "a" else -2
+            return pair.select(_PAIR_INDEX[part])
 
         def build():
-            base = self._family_base(
-                trans, part, np.float32, np.dtype(dtype or np.complex64)
-            )
-            return ozaki_slice_terms(base, n_slices, axis=axis)
+            cdt = np.dtype(dtype or np.complex64)
+            if operand == "a":
+                base = self._family_base(trans, part, np.float32, cdt)
+            else:
+                base = self._family_base(_TRANSPOSED[trans], part, np.float32, cdt)
+                if trans == "C" and part == PAIR:
+                    base = base.copy()  # op(B)ᵀ = conj(B): negate the im part
+                    np.negative(base[1], out=base[1])
+            return ozaki_slice_terms(base, n_slices)
 
         return self._derive(("ozaki", trans, n_slices, part, operand), build)
 
@@ -658,7 +674,7 @@ class OrientedOperand:
 
     def ozaki_stack(
         self, n_slices: int, part: Optional[str] = None, operand: str = "a"
-    ) -> np.ndarray:
+    ) -> OzakiSlices:
         return self.plan.ozaki_stack(
             self.trans, n_slices, part=part, operand=operand, dtype=self.dtype
         )
@@ -666,10 +682,19 @@ class OrientedOperand:
     def ozaki_stack_native(
         self, backend, n_slices: int, part: Optional[str] = None, operand: str = "a"
     ):
-        arr = self.ozaki_stack(n_slices, part=part, operand=operand)
-        return self.plan.native_mirror(
-            backend, ("ozaki", self.trans, n_slices, part, operand), arr
+        """``(slices, exponents)`` of the Ozaki form in ``op(X)``'s layout.
+
+        The slice stack, with ``op(B)``ᵀ swapped back to ``op(B)`` for
+        operand ``'b'`` (a view), is mirrored into ``backend``; the
+        exponents stay NumPy.
+        """
+        stack, exponents = self.ozaki_stack(n_slices, part=part, operand=operand)
+        if operand == "b":
+            stack = np.swapaxes(stack, -1, -2)
+        native = self.plan.native_mirror(
+            backend, ("ozaki", self.trans, n_slices, part, operand), stack
         )
+        return native, exponents
 
     def efp64_stack(self, n_terms: int, part: Optional[str] = None) -> np.ndarray:
         return self.plan.efp64_stack(

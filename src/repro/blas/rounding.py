@@ -19,7 +19,7 @@ passed through untouched.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "split_bf16",
     "split_tf32",
     "ozaki_slice_terms",
+    "OzakiSlices",
     "emulated_fp64_split_terms",
     "max_relative_error",
     "ozaki_max_relative_error",
@@ -45,6 +46,19 @@ __all__ = [
 #: towards zero, so every slice value fits the signed-int8 range
 #: [-127, 127] with the sign carried separately by the float).
 OZAKI_SLICE_BITS = 7
+
+#: Most slices :func:`ozaki_slice_terms` takes (the largest slice count
+#: of ``OZAKI_INT8``).  Eight 7-bit slices already carry 56 significant
+#: bits, more than FP32 storage can express.  Up to eight, the float32
+#: slice form is exact: the deepest level ``2**-56`` and the kept pair
+#: products' unit ``2**-63`` are normal float32 numbers.
+OZAKI_MAX_SLICES = 8
+
+#: Longest contraction over which an FP32 GEMM of float32 Ozaki slices
+#: is exact: each of its products is an integer ``|q * q'| <= 127**2``
+#: times the pair's level unit, so every partial sum stays an integer
+#: number of units below ``2**24``, which FP32 holds exactly.
+OZAKI_EXACT_K = (1 << 24) // (127 * 127)
 
 _FP32_MANTISSA = 23
 _EXP_MASK = np.uint32(0x7F800000)
@@ -229,71 +243,101 @@ def split_tf32(x: np.ndarray, n_terms: int = 1) -> Tuple[np.ndarray, ...]:
     return split_terms(x, MANTISSA_BITS[Precision.TF32], n_terms)
 
 
-def ozaki_slice_terms(x: np.ndarray, n_slices: int, axis: int) -> np.ndarray:
-    """Ozaki-scheme decomposition into scaled-INT8 slice terms.
+class OzakiSlices(NamedTuple):
+    """Ozaki slices of an operand whose fibres are its rows.
+
+    ``slices`` is a C-contiguous ``(n_slices, *shape)`` stack:
+    ``slices[i]`` holds ``q * 2**-(7 * (i + 1))`` with ``q`` an integer
+    in ``[-127, 127]``, in float32 for finite FP32 input and in float64
+    otherwise (see :func:`ozaki_slice_terms`).  ``exponents`` is the
+    int32 per-fibre exponent ``e``, shaped ``(*shape[:-1], 1)``.
+    ``slices * 2**exponents`` is, bit for bit, the float64 term stack
+    (:meth:`terms`).
+    """
+
+    slices: np.ndarray
+    exponents: np.ndarray
+
+    def terms(self) -> np.ndarray:
+        """The float64 slice terms ``slices[i] * 2**e``."""
+        return np.ldexp(self.slices.astype(np.float64, copy=False), self.exponents)
+
+    def select(self, index) -> "OzakiSlices":
+        """The slices of the operand's elements ``index`` (views).
+
+        ``index`` indexes the operand's axes, not the slice axis:
+        ``select(0)`` is the real part of a ``(2, ...)`` re/im pair and
+        ``select((..., slice(a, b), slice(None)))`` a block of rows.
+        """
+        index = index if isinstance(index, tuple) else (index,)
+        return OzakiSlices(self.slices[(slice(None),) + index], self.exponents[index])
+
+
+def ozaki_slice_terms(x: np.ndarray, n_slices: int) -> OzakiSlices:
+    """Ozaki-scheme decomposition of ``x``'s rows into scaled-INT8 slices.
 
     Every element of ``x`` is written as a sum of ``n_slices`` terms
-    ``q_i * 2**(e - 7*(i+1))`` where ``q_i`` is an integer in
-    ``[-127, 127]`` (an INT8 value) and ``e`` is a shared power-of-two
-    exponent per 1-D fibre along ``axis`` — the *contraction* axis of
-    the GEMM the terms feed (``axis=-1`` for the left operand's rows,
-    ``axis=-2`` for the right operand's columns), so that every dot
-    product in the output sees one fixed scale per (slice, slice) pair
-    and the INT8xINT8 -> INT32 accumulation is exact.
+    ``q_i * 2**(e - 7*i)`` (``i = 1 .. n_slices``) where ``q_i`` is an
+    integer in ``[-127, 127]`` (an INT8 value) and ``e`` is a shared
+    power-of-two exponent per row — a *fibre*.  Callers lay the operand
+    out with the GEMM's contraction axis last (``op(A)`` for the left
+    operand, ``op(B)``ᵀ for the right one), so every dot product of the
+    output sees one fixed scale per (slice, slice) pair and the
+    INT8xINT8 -> INT32 accumulation is exact.  The result keeps each
+    slice at its level, ``q_i * 2**(-7*i)``, apart from the exponents
+    (:class:`OzakiSlices`).
 
-    The terms are returned as one C-contiguous ``(n_slices, *x.shape)``
-    *float64* stack holding those exactly representable scaled
-    integers: a float64 matmul of two such terms
-    is then a bit-exact emulation of the integer tensor-core product
-    (each scalar product is ``q * q' * 2**(...)`` with ``|q*q'| <=
-    127**2 < 2**14``, and the k-fold sum stays far below ``2**53``).
+    Finite FP32 input whose nonzero fibre maxima are all at least
+    ``2**-128`` (so that ``2**-e`` is a float32) is sliced in float32,
+    and every step is exact: ``max|x|`` and ``frexp`` are exact
+    (``absmax < 2**e``); ``x * 2**-e`` is exact unless it underflows,
+    and an element that underflows is below ``2**-126``, so its slices
+    are zeros carrying its sign (``2**-126 * 2**56 < 1``), as in
+    float64; multiplying the remainder by ``2**7``, truncating it and
+    subtracting the integer part are exact below ``2**7``; and the level
+    scale of an integer ``|q| <= 127`` is exact down to ``2**-56``.
+    Other input — FP64, a fibre holding Inf/NaN or one whose scale
+    ``2**-e`` overflows float32 — is sliced in float64, with
+    ``np.ldexp`` scaling.  Either way :meth:`OzakiSlices.terms` equals the
+    float64 formulation's terms ``ldexp(q_i, e - 7*i)`` bit for bit.
 
-    Exactness of the decomposition arithmetic itself: the fibre scale
-    comes from ``np.frexp`` (exact; ``absmax < 2**e``), the running
-    remainder is multiplied by powers of two (exact), and truncation /
-    fractional-part extraction of a float64 below 128 is exact.  After
-    ``s`` slices the unrepresented remainder of an element is below
-    ``2**(e - 7s)``, i.e. below ``2**(1-7s)`` of its fibre's absmax.
-
-    Finite FP32 input scales by multiplying with the (exact) powers of
-    two instead of calling ``np.ldexp``: its fibre exponents lie in
-    ``[-148, 128]``, so every scale, scaled element and slice value is
-    a normal float64 and each product is exact, bit for bit what
-    ``ldexp`` returns.  Other input (FP64, or a fibre holding Inf/NaN)
-    takes ``ldexp``.
+    After ``s`` slices the unrepresented remainder of an element is
+    below ``2**(e - 7s)``, i.e. below ``2**(1-7s)`` of its fibre's
+    absmax.
     """
-    if n_slices < 1:
-        raise ValueError(f"n_slices must be >= 1, got {n_slices}")
+    if not 1 <= n_slices <= OZAKI_MAX_SLICES:
+        raise ValueError(f"n_slices must be in [1, {OZAKI_MAX_SLICES}], got {n_slices}")
     x = np.asarray(x)
     if x.ndim < 2:
         raise ValueError(f"ozaki_slice_terms needs >= 2-D input, got {x.ndim}-D")
-    if x.dtype != np.float32:
+    lost = None
+    if x.dtype == np.float32:
+        r = np.abs(x)  # the running remainder's buffer
+        absmax = r.max(axis=-1, keepdims=True)
+        _, e = np.frexp(absmax)  # zero fibres get e = 0
+    if x.dtype == np.float32 and np.isfinite(absmax).all() and e.min(initial=0) >= -127:
+        np.multiply(x, np.ldexp(np.float32(1.0), -e), out=r)  # |r| < 1
+        # An element at or below 2**(e - 150) underflows to zero here
+        # (possible from e = 1); its float64 remainder keeps x's sign,
+        # so its later zero slices must too.
+        if e.max(initial=0) >= 1 and (r == 0).any():
+            lost = (r == 0) & (x != 0)
+    else:
         x = np.ascontiguousarray(x, dtype=np.float64)
-    # max|x| is exact in x's own width, and widening it is exact.
-    absmax = np.max(np.abs(x), axis=axis, keepdims=True).astype(np.float64, copy=False)
-    # frexp: absmax = f * 2**e with f in [0.5, 1) -> absmax < 2**e and
-    # the scale is an exact power of two (zero fibres get e = 0).
-    _, e = np.frexp(absmax)
-    by_multiply = x.dtype == np.float32 and bool(np.isfinite(absmax).all())
-    if not by_multiply:
-        x = np.ascontiguousarray(x, dtype=np.float64)  # ldexp runs in x's width
-
-    def scale(y, k, out):
-        # y * 2**k into ``out`` (float64): exact either way.
-        if by_multiply:
-            return np.multiply(y, np.ldexp(1.0, k), out=out)
-        return np.ldexp(y, k, out=out)
-
-    r = scale(x, -e, np.empty(x.shape))  # |r| < 1, exact
-    radix = float(1 << OZAKI_SLICE_BITS)
-    stack = np.empty((n_slices,) + x.shape)
+        _, e = np.frexp(np.max(np.abs(x), axis=-1, keepdims=True))
+        r = np.ldexp(x, -e)  # |r| < 1, exact
+    real = r.dtype.type
+    stack = np.empty((n_slices,) + x.shape, dtype=r.dtype)
     for i in range(n_slices):
-        q = stack[i]                    # the slice is built in its slot
-        np.multiply(r, radix, out=r)    # |r| < 128, exact
-        np.trunc(r, out=q)              # integer slice, |q| <= 127
-        np.subtract(r, q, out=r)        # exact fractional remainder
-        scale(q, e - OZAKI_SLICE_BITS * (i + 1), q)
-    return stack
+        q = stack[i]  # the slice is built in its slot
+        np.multiply(r, real(1 << OZAKI_SLICE_BITS), out=r)  # |r| < 128, exact
+        np.trunc(r, out=q)  # integer slice, |q| <= 127
+        if i + 1 < n_slices:
+            np.subtract(r, q, out=r)  # exact fractional remainder
+        np.multiply(q, real(2.0 ** (-OZAKI_SLICE_BITS * (i + 1))), out=q)
+    if lost is not None:
+        stack[1:, lost] = np.copysign(real(0.0), x[lost])
+    return OzakiSlices(stack, e)
 
 
 def emulated_fp64_split_terms(x: np.ndarray, n_terms: int) -> np.ndarray:

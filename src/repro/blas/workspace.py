@@ -14,8 +14,10 @@ module runs them with no per-product allocation:
 
 The term stacks come from :mod:`repro.blas.plan`, already C-contiguous
 with one term per slot, so the engine reads ``stack[i]`` as is: nothing
-is gathered or repacked per call.  The split, Ozaki and emulated-FP64
-families all run on this one engine.
+is gathered or repacked per call.  The split and emulated-FP64
+families run on this one engine.  Ozaki INT8's slices multiply as exact
+GEMMs instead (:func:`_ozaki_gemm`), summed in FP64 in the same pair
+order and then scaled by their fibre exponents.
 
 Bit-exactness is the hard contract.  ``out=`` writes the identical
 product bytes the 2-D call returns, and in-place ``np.add`` is the same
@@ -42,6 +44,7 @@ import numpy as np
 
 from repro.blas import backend as _backend
 from repro.blas.plan import PAIR
+from repro.blas.rounding import OZAKI_EXACT_K
 from repro.telemetry.provenance import current_site_id as _current_site_id
 from repro.telemetry.registry import active as _telemetry_active
 from repro.types import MANTISSA_BITS, Precision
@@ -214,10 +217,11 @@ def split_gemm_fused(
 
     ``precision`` selects the splitting family: ``BF16``/``TF32`` use
     the mantissa-truncation split; the marker values ``Precision.INT8``
-    (Ozaki scaled-slice split, FP32 result) and ``Precision.FP64``
-    (emulated-FP64 FP32-term split, result in the handles' real working
-    width) route to their own plan-cached stacks.  All families share
-    the same fused pair-product engine and accumulation order.
+    (Ozaki scaled-slice split, FP32 result; see :func:`_ozaki_gemm`)
+    and ``Precision.FP64`` (emulated-FP64 FP32-term split, result in the
+    handles' real working width) route to their own plan-cached stacks.
+    All families accumulate their pair products in
+    :func:`repro.blas.split.component_pairs` order.
     """
     from repro.blas.split import component_pairs
 
@@ -232,10 +236,8 @@ def split_gemm_fused(
             backend=be.cache_key,
         )
     if precision is Precision.INT8:
-        a_terms = a_handle.ozaki_stack_native(be, n_terms, part=part_a, operand="a")
-        b_terms = b_handle.ozaki_stack_native(be, n_terms, part=part_b, operand="b")
-        out_dtype = np.float32
-    elif precision is Precision.FP64:
+        return _ozaki_gemm(a_handle, b_handle, n_terms, part_a, part_b, be)
+    if precision is Precision.FP64:
         a_terms = a_handle.efp64_stack_native(be, n_terms, part=part_a)
         b_terms = b_handle.efp64_stack_native(be, n_terms, part=part_b)
         double = np.dtype(a_handle.dtype) in (
@@ -257,4 +259,101 @@ def split_gemm_fused(
     out = fused_pair_products(a_terms, b_terms, component_pairs(n_terms), backend=be)
     if out_dtype is not None:
         out = out.astype(out_dtype, copy=False)
+    return out
+
+
+# ----------------------------------------------------------------------
+# Ozaki INT8: exact slice products.
+#
+# A slice is an integer |q| <= 127 times its level 2**(-7i), so every
+# partial sum of a slice-pair product is an integer number of the pair's
+# level unit.  Over a contraction of at most OZAKI_EXACT_K those sums
+# stay below 2**24: an FP32 GEMM of float32 slices is exact whatever
+# order the BLAS sums in, and exact sums of its k-chunks in FP64 give
+# the exact product (float64 slices need no chunks: k * 127**2 < 2**53).
+# Each pair product then equals the float64 formulation's one scaled by
+# 2**-(e_row + e_col), and power-of-two scaling commutes with every
+# FP64 rounding while no value leaves FP64's normal range: nonzero
+# magnitudes stay between 2**-359 (kept pairs of up to eight slices
+# have units down to 2**-63, FP32 exponents go down to -148) and
+# k * 2**256.  So adding the pairs in component_pairs order and scaling
+# the sum once, by 2**e_row and then 2**e_col into the FP32 cast, gives
+# the float64 formulation's bits.
+# ----------------------------------------------------------------------
+
+
+def _exact_product(a, b, be, step, prod):
+    """``a @ b`` of Ozaki slices, exactly: one GEMM into ``prod``, or
+    GEMMs over k-chunks of at most ``step`` summed in FP64 (a fresh
+    float64 array)."""
+    k = a.shape[-1]
+    if k <= step:
+        return be.matmul(a, b, out=prod)
+    pair = None
+    for start in range(0, k, step):
+        ks = slice(start, start + step)
+        chunk = be.matmul(a[..., ks], b[..., ks, :], out=prod)
+        if pair is None:
+            pair = be.cast(chunk, np.float64)
+        else:
+            be.add_(pair, chunk)
+    return pair
+
+
+def _exact_pair_sum(a_slices, b_slices, pairs, be) -> np.ndarray:
+    """``sum(a_slices[i-1] @ b_slices[j-1] for (i, j) in pairs)``, in
+    order, in FP64, each product exact (:func:`_exact_product`).
+
+    Float32 slices multiply as FP32 GEMMs over k-chunks of at most
+    ``OZAKI_EXACT_K`` into one workspace buffer; float64 slices as FP64
+    GEMMs.  The sum stays native until the one copy to NumPy.
+    """
+    k = a_slices.shape[-1]
+    shape = np.broadcast_shapes(
+        tuple(a_slices.shape[1:-2]), tuple(b_slices.shape[1:-2])
+    ) + (a_slices.shape[-2], b_slices.shape[-1])
+    prod = None
+    n_chunks = 1
+    if be.result_dtype(a_slices, b_slices) == np.float32:
+        prod = get_workspace().get("prod", shape, np.float32, be)
+        n_chunks = -(-k // OZAKI_EXACT_K)
+    step = -(-k // n_chunks)
+    out = None
+    for i, j in pairs:
+        product = _exact_product(a_slices[i - 1], b_slices[j - 1], be, step, prod)
+        if out is None:
+            out = be.cast(product, np.float64)  # a fresh array: prod is float32
+        else:
+            be.add_(out, product)
+    return be.to_numpy(out)
+
+
+def _ozaki_gemm(a_handle, b_handle, n_slices, part_a, part_b, be) -> np.ndarray:
+    """Ozaki INT8 GEMM over prepared operand handles, FP32 result.
+
+    The slice pairs' exact products are summed in FP64 by
+    :func:`_exact_pair_sum` — as FP32 GEMMs when both operands were
+    sliced in float32, as FP64 GEMMs when either was sliced in float64
+    (non-finite or out-of-range fibres) — and the sum is scaled by the
+    fibre exponents.  Either way the result is the float64
+    formulation's.
+    """
+    from repro.blas.split import component_pairs
+
+    a_stack, a_exp = a_handle.ozaki_stack_native(be, n_slices, part=part_a, operand="a")
+    b_stack, b_exp = b_handle.ozaki_stack_native(be, n_slices, part=part_b, operand="b")
+    if a_stack.shape[-1] != b_stack.shape[-2]:
+        raise ValueError(
+            f"inner dimensions differ: {tuple(a_stack.shape[1:])} @ {tuple(b_stack.shape[1:])}"
+        )
+    dtype = be.result_dtype(a_stack, b_stack)
+    a_stack, b_stack = be.cast(a_stack, dtype), be.cast(b_stack, dtype)
+    if part_a == PAIR and part_b == PAIR:
+        a_stack, b_stack = _outer_pair_views(a_stack, b_stack)
+        # The scales broadcast like the part products: (2, 1, ...) and (1, 2, ...).
+        a_exp, b_exp = (x[0] for x in _outer_pair_views(a_exp[None], b_exp[None]))
+    acc = _exact_pair_sum(a_stack, b_stack, component_pairs(n_slices), be)
+    np.multiply(acc, np.ldexp(1.0, a_exp), out=acc)  # row scales freed before the result
+    out = np.empty(acc.shape, np.float32)
+    np.multiply(acc, np.swapaxes(np.ldexp(1.0, b_exp), -1, -2), out=out, casting="same_kind")
     return out

@@ -16,8 +16,8 @@ modules import it as ``gemm_oracles``.
 import numpy as np
 
 from repro.blas.rounding import (
+    OZAKI_SLICE_BITS,
     emulated_fp64_split_terms,
-    ozaki_slice_terms,
     split_terms,
 )
 from repro.blas.split import component_pairs, emulated_fp64_term_count
@@ -47,13 +47,30 @@ def split_gemm_reference(a, b, precision, n_terms):
     return _pair_sum(split_terms(a, keep, n_terms), split_terms(b, keep, n_terms), n_terms)
 
 
+def ozaki_slice_terms_reference(x, n_slices, axis):
+    """The float64 Ozaki slicing: ``(n_slices, *x.shape)`` terms
+    ``q_i * 2**(e - 7i)`` with one power-of-two exponent ``e`` per fibre
+    along ``axis`` (``np.frexp`` of the fibre's absmax; ``np.ldexp``
+    scaling, exact in float64)."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    _, e = np.frexp(np.max(np.abs(x), axis=axis, keepdims=True))
+    r = np.ldexp(x, -e)
+    stack = np.empty((n_slices,) + x.shape)
+    for i in range(n_slices):
+        r = r * float(1 << OZAKI_SLICE_BITS)
+        stack[i] = np.trunc(r)
+        r = r - stack[i]
+        stack[i] = np.ldexp(stack[i], e - OZAKI_SLICE_BITS * (i + 1))
+    return stack
+
+
 def ozaki_gemm_reference(a, b, n_slices):
     """Ozaki-scheme INT8 GEMM: slices along each operand's contraction
     axis, float64 slice-pair products (exact emulations of INT8 x INT8
     with INT32 accumulation), summed and rounded once to FP32."""
     _check_shapes("ozaki_gemm_reference", a, b)
-    a_terms = ozaki_slice_terms(a, n_slices, axis=-1)
-    b_terms = ozaki_slice_terms(b, n_slices, axis=-2)
+    a_terms = ozaki_slice_terms_reference(a, n_slices, axis=-1)
+    b_terms = ozaki_slice_terms_reference(b, n_slices, axis=-2)
     return _pair_sum(a_terms, b_terms, n_slices).astype(np.float32)
 
 

@@ -17,11 +17,12 @@ import pytest
 from gemm_oracles import emulated_fp64_gemm_reference, ozaki_gemm_reference
 from hypothesis import given, settings, strategies as st
 
+from repro.blas.batch import gemm_batch
 from repro.blas.complex3m import gemm_4m
-from repro.blas.gemm import gemm
+from repro.blas.gemm import finite_checks, gemm
 from repro.blas.modes import ComputeMode, set_ozaki_slices
-from repro.blas.plan import prepare
-from repro.blas.rounding import OZAKI_SLICE_BITS, ozaki_max_relative_error
+from repro.blas.plan import PreparedOperand, prepare, release
+from repro.blas.rounding import OZAKI_EXACT_K, OZAKI_SLICE_BITS, ozaki_max_relative_error
 
 pytestmark = pytest.mark.usefixtures("clean_mode_env")
 
@@ -211,6 +212,150 @@ class TestGoldenOzaki:
         pa, pb = prepare(a.copy()), prepare(b.copy())
         for _ in range(2):  # the second call is served from the plans' caches
             _assert_bitwise(gemm(pa, pb, mode=ComputeMode.OZAKI_INT8), ref)
+
+
+def _operand(rng, shape, dtype):
+    x = _mixed_magnitude(rng, shape, 3, np.float32)
+    if np.dtype(dtype).kind == "c":
+        x = (x + 1j * _mixed_magnitude(rng, shape, 3, np.float32)).astype(dtype)
+    return x
+
+
+class TestGoldenOzakiBoundaries:
+    """Deterministic OZAKI_INT8 cases where the exact FP32 slice products
+    change shape: contractions at and past the ``OZAKI_EXACT_K`` = 1040
+    chunk bound, one to eight slices, the pair-block (small) and
+    per-part (large) complex paths, ``columns()`` blocks of warmed
+    plans, FP32 range ends and non-finite input, each bitwise against
+    the float64 oracle."""
+
+    #: (m, n) of a small output, and of a complex output whose
+    #: (2, 2, m, n) float64 block exceeds BATCH_PAIRS_MAX_BYTES.
+    OUTPUTS = {"small": (5, 7), "large": (96, 90)}
+
+    @staticmethod
+    def _op(x, trans):
+        x = x.array if hasattr(x, "array") else x
+        return {"N": x, "T": x.T, "C": x.conj().T}[trans]
+
+    def _check(self, a, b, n_slices, trans_a="N", trans_b="N"):
+        set_ozaki_slices(n_slices)
+        try:
+            out = gemm(a, b, mode=ComputeMode.OZAKI_INT8, trans_a=trans_a, trans_b=trans_b)
+            op_a, op_b = self._op(a, trans_a), self._op(b, trans_b)
+            _assert_bitwise(out, _reference(op_a, op_b, ComputeMode.OZAKI_INT8))
+        finally:
+            set_ozaki_slices(None)
+
+    @pytest.mark.parametrize("trans_b", ["N", "T", "C"])
+    @pytest.mark.parametrize("trans_a", ["N", "T", "C"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64], ids=["sgemm", "cgemm"])
+    def test_transposed_operands(self, dtype, trans_a, trans_b):
+        # op(B)^T is sliced for operand b: B itself for 'T', conj(B)
+        # for 'C', a transposed pack for 'N'.
+        rng = np.random.default_rng(3)
+        a = _operand(rng, (1100, 6) if trans_a != "N" else (6, 1100), dtype)
+        b = _operand(rng, (5, 1100) if trans_b != "N" else (1100, 5), dtype)
+        self._check(a, b, 3, trans_a=trans_a, trans_b=trans_b)
+        pa, pb = PreparedOperand(a.copy()), PreparedOperand(b.copy())
+        self._check(pa, pb, 3, trans_a=trans_a, trans_b=trans_b)
+
+    @pytest.mark.parametrize("size", sorted(OUTPUTS))
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64], ids=["sgemm", "cgemm"])
+    @pytest.mark.parametrize("n_slices", [1, 3, 8])
+    @pytest.mark.parametrize("k", [1040, 1041, 1728, 3000])
+    def test_contraction_lengths(self, k, n_slices, dtype, size):
+        assert OZAKI_EXACT_K == 1040
+        m, n = self.OUTPUTS[size]
+        rng = np.random.default_rng(k * 10 + n_slices)
+        self._check(_operand(rng, (m, k), dtype), _operand(rng, (k, n), dtype), n_slices)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64], ids=["sgemm", "cgemm"])
+    @pytest.mark.parametrize("k", [1040, 1041, 3000])
+    def test_largest_slice_products(self, k, dtype):
+        # Every element 1 - 2**-21: its first three slices are all 127,
+        # so a slice product reaches k * 127**2, which FP32 holds
+        # exactly only up to k = 1040 (a longer chunk would round).
+        v = np.float32(1.0 - 2.0**-21)
+        a, b = np.full((5, k), v, dtype), np.full((k, 7), v, dtype)
+        if np.dtype(dtype).kind == "c":
+            a, b = a * np.complex64(1 - 1j), b * np.complex64(-1 + 1j)
+        for n_slices in (3, 8):
+            self._check(a, b, n_slices)
+
+    @pytest.mark.parametrize("n_slices", [1, 3, 8])
+    @pytest.mark.parametrize("n_grid", [1041, 3000])
+    def test_prepared_column_blocks(self, n_grid, n_slices):
+        # remap_occ's products on warmed plans of Psi(0) and Psi(t): the
+        # occupied block's 'C' forms and the blocks' 'N' forms slice the
+        # parents' stacks (row views of their fibres).
+        rng = np.random.default_rng(n_grid + n_slices)
+        n_orb, n_occ = 24, 16
+        psi0, psi = (_operand(rng, (n_grid, n_orb), np.complex64) for _ in range(2))
+        p0, pt = prepare(psi0), PreparedOperand(psi, keep_bases=False)
+        set_ozaki_slices(n_slices)
+        try:
+            for _ in range(2):  # the second pass reads the cached children
+                gemm(p0, psi, trans_a="C", mode=ComputeMode.OZAKI_INT8)
+                gemm(pt, psi0, trans_a="C", mode=ComputeMode.OZAKI_INT8)
+                gemm(psi0, pt, trans_a="C", mode=ComputeMode.OZAKI_INT8)
+                occ = pt.columns(0, n_occ)
+                self._check(occ, p0.columns(n_occ, n_orb), n_slices, trans_a="C")
+                self._check(p0.columns(0, n_occ), occ, n_slices, trans_a="C")
+        finally:
+            set_ozaki_slices(None)
+            release(psi0)
+
+    @staticmethod
+    def _range_ends(rng, shape):
+        x = rng.uniform(-2.0, 2.0, size=shape).astype(np.float32)
+        x[0] *= np.float32(2.0**126)          # fibre maxima near 2**127
+        x[0, 0] = np.finfo(np.float32).max
+        x[1] = np.float32(2.0**-149) * rng.integers(-(2**20), 2**20, size=shape[1])
+        x[1, 0] = np.float32(1.5 * 2.0**-128)  # all denormal, scale 2**127
+        x[2] = 0.0                            # a zero fibre
+        x[3, ::2] = -0.0                      # signed zeros
+        x[3, 1::4] = 0.0
+        return x
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("n_slices", [1, 3, 8])
+    @pytest.mark.parametrize("k", [40, 1041])
+    def test_fp32_range_ends(self, k, n_slices):
+        # Products of the ~2**127 fibres overflow FP32 on both paths.
+        rng = np.random.default_rng(k + n_slices)
+        a = self._range_ends(rng, (6, k))
+        b = np.ascontiguousarray(self._range_ends(rng, (5, k)).T)
+        self._check(a, b, n_slices)
+        # A fibre below 2**-128 makes its operand slice in float64.
+        a[4] = np.float32(2.0**-149) * rng.integers(-8, 8, size=k)
+        self._check(a, b, n_slices)
+        ca = (a + 1j * a[::-1]).astype(np.complex64)
+        cb = (b[:, ::-1] + 1j * b).astype(np.complex64)
+        self._check(ca, cb, n_slices)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64], ids=["sgemm", "cgemm"])
+    def test_batched(self, dtype):
+        # gemm_batch's leading axis rides through the per-pair GEMMs
+        # and the exponent scaling.
+        rng = np.random.default_rng(5)
+        a, b = _operand(rng, (3, 6, 1100), dtype), _operand(rng, (3, 1100, 5), dtype)
+        out = gemm_batch(a, b, mode=ComputeMode.OZAKI_INT8)
+        for i in range(3):
+            _assert_bitwise(out[i], _reference(a[i], b[i], ComputeMode.OZAKI_INT8))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64], ids=["sgemm", "cgemm"])
+    def test_non_finite_input(self, dtype):
+        # The operand holding Inf/NaN slices in float64, so its slice
+        # products with the finite operand's run as FP64 GEMMs.
+        rng = np.random.default_rng(11)
+        a, b = _operand(rng, (7, 1100), dtype), _operand(rng, (1100, 6), dtype)
+        a[2, 5] = np.inf
+        a[4, 7] = np.nan
+        with finite_checks(False), np.errstate(invalid="ignore"):
+            self._check(a, b, 3)
+            self._check(b.T.copy(), a.T.copy(), 3)
 
 
 class TestGoldenEmulatedFP64:

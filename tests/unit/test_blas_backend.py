@@ -259,6 +259,7 @@ class TestShadowBackendEndToEnd:
         ComputeMode.FLOAT_TO_BF16X2,
         ComputeMode.FLOAT_TO_BF16X3,
         ComputeMode.FLOAT_TO_TF32,
+        ComputeMode.OZAKI_INT8,
     ]
 
     @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.name)
@@ -273,7 +274,13 @@ class TestShadowBackendEndToEnd:
         assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize(
-        "mode", [ComputeMode.STANDARD, ComputeMode.COMPLEX_3M, ComputeMode.FLOAT_TO_BF16X2]
+        "mode",
+        [
+            ComputeMode.STANDARD,
+            ComputeMode.COMPLEX_3M,
+            ComputeMode.FLOAT_TO_BF16X2,
+            ComputeMode.OZAKI_INT8,
+        ],
     )
     def test_complex_gemm_bitwise_vs_numpy(self, mode):
         a = (
@@ -381,11 +388,18 @@ class _FakeArray:
         return self.arr.shape
 
     @property
+    def ndim(self):
+        return self.arr.ndim
+
+    @property
     def dtype(self):
         return _FakeDtype(self.arr.dtype)
 
     def __getitem__(self, idx):
         return _FakeArray(self.arr[idx])
+
+    def reshape(self, *shape):
+        return _FakeArray(self.arr.reshape(*shape))
 
 
 class FakeDeviceBackend(ArrayBackend):
@@ -465,6 +479,43 @@ class TestFusedBatchedForeignDtype:
             with use_backend(FakeDeviceBackend()):
                 got = gemm(a, b)
         assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize(
+        "m, k, n",
+        [(9, 7, 8), (9, 1100, 8), (96, 30, 90)],
+        ids=["small", "chunked", "large"],
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64], ids=["sgemm", "cgemm"])
+    def test_ozaki_bitwise_vs_oracle(self, dtype, m, k, n):
+        # OZAKI_INT8's compact slices are mirrored into the backend and
+        # multiplied there (the exponents stay NumPy); every slice
+        # product is exact, so any IEEE-FP32 backend gives the oracle's
+        # bits.
+        from gemm_oracles import ozaki_gemm_reference
+
+        from repro.blas.complex3m import gemm_4m
+
+        def draw(shape):
+            x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+            if np.dtype(dtype).kind == "c":
+                x = x + 1j * rng.standard_normal(shape)
+            return x.astype(dtype)
+
+        a, b = draw((m, k)), draw((k, n))
+        if np.dtype(dtype).kind == "c":
+            ref = gemm_4m(a, b, real_gemm=lambda x, y: ozaki_gemm_reference(x, y, 3))
+        else:
+            ref = ozaki_gemm_reference(a, b, 3)
+        pa = prepare(a)
+        try:
+            with compute_mode(ComputeMode.OZAKI_INT8), use_backend(FakeDeviceBackend()):
+                for x in (a, pa, pa):  # plain, then the prepared plan twice
+                    got = gemm(x, b)
+                    assert got.dtype == ref.dtype
+                    view = np.uint64 if got.dtype.kind == "c" else np.uint32
+                    np.testing.assert_array_equal(got.view(view), ref.view(view))
+        finally:
+            release(pa)
 
 
 class TestTorchBackendRegressions:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.blas.rounding import (
     OZAKI_SLICE_BITS,
+    OzakiSlices,
     emulated_fp64_split_terms,
     max_relative_error,
     ozaki_max_relative_error,
@@ -225,26 +226,42 @@ class TestErrorBound:
 
 
 class TestOzakiSliceTerms:
-    """The INT8 slice split behind ``OZAKI_INT8``."""
+    """The INT8 slice split behind ``OZAKI_INT8``.
+
+    The kernel slices each row (fibre) of its input; its float32 slices
+    times ``2**e`` are the float64 slice terms these properties are
+    stated for.
+    """
 
     def _random(self, shape=(12, 9), seed=0):
         rng = np.random.default_rng(seed)
         scale = 10.0 ** rng.integers(-3, 4, size=shape).astype(np.float64)
         return (rng.standard_normal(shape) * scale).astype(np.float32)
 
+    @staticmethod
+    def _terms(x, n_slices):
+        form = ozaki_slice_terms(x, n_slices)
+        assert isinstance(form, OzakiSlices)
+        assert form.slices.dtype == np.float32  # finite FP32: sliced in float32
+        return form.terms()
+
     def test_slices_are_scaled_integers_in_int8_range(self):
         x = self._random()
-        for i, term in enumerate(ozaki_slice_terms(x, 3, axis=-1)):
+        slices, e = ozaki_slice_terms(x, 3)
+        for i, term in enumerate(self._terms(x, 3)):
             absmax = np.max(np.abs(x.astype(np.float64)), axis=-1, keepdims=True)
-            _, e = np.frexp(absmax)
-            q = np.ldexp(term, -(e - OZAKI_SLICE_BITS * (i + 1)))
+            _, want_e = np.frexp(absmax)
+            np.testing.assert_array_equal(e, want_e)
+            q = np.ldexp(term, -(want_e - OZAKI_SLICE_BITS * (i + 1)))
             assert np.array_equal(q, np.trunc(q))        # integer-valued
             assert np.abs(q).max() <= 127                # INT8-representable
+            # The float32 slice is that integer at its level.
+            np.testing.assert_array_equal(slices[i], np.ldexp(q, -OZAKI_SLICE_BITS * (i + 1)))
 
     def test_reconstruction_within_truncation_bound(self):
         x = self._random()
         for n_slices in (1, 2, 3, 4):
-            recon = sum(ozaki_slice_terms(x, n_slices, axis=-1))
+            recon = sum(self._terms(x, n_slices))
             fibre_max = np.max(np.abs(x.astype(np.float64)), axis=-1, keepdims=True)
             bound = np.ldexp(fibre_max, 1 - OZAKI_SLICE_BITS * n_slices)
             assert (np.abs(x.astype(np.float64) - recon) <= bound).all()
@@ -252,20 +269,22 @@ class TestOzakiSliceTerms:
     def test_zero_fibres_survive(self):
         x = np.zeros((4, 5), dtype=np.float32)
         x[0, :] = 1.0
-        for term in ozaki_slice_terms(x, 3, axis=-1):
+        for term in self._terms(x, 3):
             assert np.isfinite(term).all()
-        recon = sum(ozaki_slice_terms(x, 3, axis=-1))
+        recon = sum(self._terms(x, 3))
         np.testing.assert_array_equal(recon[1:], 0.0)
 
     def test_axis_selects_the_contraction_fibre(self):
+        # Slicing x's rows and slicing its columns (the rows of x.T)
+        # scale by different fibres.
         x = self._random((6, 8))
-        rows = ozaki_slice_terms(x, 2, axis=-1)
-        cols = ozaki_slice_terms(x, 2, axis=-2)
+        rows = self._terms(x, 2)
+        cols = np.swapaxes(self._terms(np.ascontiguousarray(x.T), 2), -1, -2)
         assert not np.array_equal(rows[0], cols[0])
 
     def test_requires_two_dims(self):
         with pytest.raises(ValueError):
-            ozaki_slice_terms(np.ones(4, np.float32), 2, axis=-1)
+            ozaki_slice_terms(np.ones(4, np.float32), 2)
 
     def test_error_bound_values(self):
         assert ozaki_max_relative_error(1) == 2**-6

@@ -6,7 +6,8 @@ change inside these kernels.  This file keeps the straightforward
 out-of-place formulation of each kernel (one fresh array per step,
 terms collected in a tuple) and checks the production kernels against
 it bit for bit, over random bit patterns that include NaN, Inf and
-denormal values.
+denormal values.  The Ozaki kernel slices in float32: its slices times
+``2**e`` must equal the float64 formulation's terms.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 from repro.blas.rounding import (
     OZAKI_SLICE_BITS,
+    OzakiSlices,
     emulated_fp64_split_terms,
     extend_split,
     ozaki_slice_terms,
@@ -164,20 +166,88 @@ class TestRoundingKernels:
         _assert_same_bits(resid1, kept[1])
 
 
+def _ozaki_terms(x, n_slices, axis):
+    """``ozaki_slice_terms`` of ``x``'s fibres along ``axis`` as float64
+    terms in ``x``'s layout (slices times ``2**e``), and its form."""
+    rows = np.ascontiguousarray(x if axis == -1 else x.T)
+    form = ozaki_slice_terms(rows, n_slices)
+    stack, e = form
+    assert isinstance(form, OzakiSlices)
+    assert stack.dtype in (np.float32, np.float64) and stack.flags.c_contiguous
+    assert stack.shape == (n_slices,) + rows.shape
+    assert e.shape == rows.shape[:-1] + (1,) and e.dtype.kind == "i"
+    terms = form.terms()
+    if stack.dtype == np.float32:  # every term is exact: ldexp is a multiply
+        _assert_same_bits(terms, stack.astype(np.float64) * np.ldexp(1.0, e))
+    return (terms if axis == -1 else np.swapaxes(terms, -1, -2)), form
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 class TestSliceKernels:
-    @pytest.mark.parametrize("n_slices", [1, 2, 3])
+    @pytest.mark.parametrize("n_slices", range(1, 9))
     @pytest.mark.parametrize("axis", [-1, -2])
     def test_ozaki_stack(self, seed, n_slices, axis):
+        # Both fibre orientations, s = 1..8: slice_i * 2**e equals the
+        # float64 formulation's term i bit for bit.  Input holding
+        # Inf/NaN, or fibres whose scale 2**-e overflows float32 (the
+        # denormal-floor rows of the range-end data), takes the float64
+        # path; finite data elsewhere is sliced in float32.
         x = _fp32_patterns(seed)
         x[3] = 0.0  # a zero fibre along either axis
         x[:, 5] = 0.0
         finite = np.where(np.isfinite(x), x, np.float32(0.0))
-        for data in (x, finite, _fp32_range_ends(seed)):
-            stack = ozaki_slice_terms(data, n_slices, axis=axis)
-            assert stack.shape == (n_slices,) + data.shape and stack.flags.c_contiguous
-            for got, want in zip(stack, _ref_ozaki(data, n_slices, axis)):
-                _assert_same_bits(got, want)
+        ends = _fp32_range_ends(seed)
+        cases = [(x, False), (finite, True), (ends, axis == -2)]
+        for data, compact in cases:
+            got, form = _ozaki_terms(data, n_slices, axis)
+            assert (form.slices.dtype == np.float32) is compact
+            for term, want in zip(got, _ref_ozaki(data, n_slices, axis)):
+                _assert_same_bits(term, want)
+
+    @pytest.mark.parametrize("n_slices", [1, 3, 8])
+    def test_ozaki_fp32_range_ends(self, seed, n_slices):
+        # Fibre maxima at the compact path's ends: near FLT_MAX (scale
+        # 2**-128, a float32 denormal, under which small elements
+        # underflow), in [2**-128, 2**-127) (scale 2**127) and all
+        # denormal; signed zeros and zero fibres.  One fibre below
+        # 2**-128 sends the whole operand to the float64 path.
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-2.0, 2.0, size=(6, 40)).astype(np.float32)
+        x[0] *= np.float32(2.0**126)
+        x[0, 0] = np.finfo(np.float32).max
+        x[0, 1:6] = [1e-30, -1e-38, 2.0**-149, -(2.0**-140), 3.0]
+        x[1] = (x[1] * np.float32(2.0**-129)).astype(np.float32)
+        x[1, 0] = np.float32(2.0**-128)
+        x[2] = np.float32(2.0**-149) * rng.integers(-(2**20), 2**20, size=40).astype(np.float32)
+        x[2, 0] = np.float32(-(2.0**-127))
+        x[3] = 0.0
+        x[4, ::2] = -0.0
+        # The least fibre exponent under which an element underflows to
+        # zero: e = 1, where -2**-149 * 2**-1 ties to -0.0.
+        tie = np.array([[1.5, -(2.0**-149)], [0.75, 0.5]], dtype=np.float32)
+        cases = ((x, True), (np.vstack([x, x[1:2] * 0.25]), False), (tie, True))
+        for data, compact in cases:
+            got, form = _ozaki_terms(data, n_slices, -1)
+            assert (form.slices.dtype == np.float32) is compact
+            for term, want in zip(got, _ref_ozaki(data, n_slices, -1)):
+                _assert_same_bits(term, want)
+
+    def test_ozaki_fallback_inputs(self, seed):
+        # FP64 input takes the float64 path, tiny and huge fibres alike;
+        # slice counts outside [1, 8] are refused.
+        rng = np.random.default_rng(seed)
+        x64 = rng.standard_normal((7, 9)) * 1e-200
+        x64[0] *= 1e-110  # fibre maxima near the FP64 denormal floor
+        x64[1] = np.ldexp(rng.uniform(0.5, 1.0, 9), 1023)  # e = 1024
+        for n_slices in (1, 3, 8):
+            got, form = _ozaki_terms(x64, n_slices, -1)
+            assert form.slices.dtype == np.float64
+            for term, want in zip(got, _ref_ozaki(x64, n_slices, -1)):
+                _assert_same_bits(term, want)
+        x32 = rng.standard_normal((7, 9)).astype(np.float32)
+        for n_slices in (0, 9):
+            with pytest.raises(ValueError):
+                ozaki_slice_terms(x32, n_slices)
 
     @pytest.mark.parametrize("n_terms", [1, 2, 3])
     def test_emulated_fp64_stack(self, seed, n_terms):
