@@ -35,7 +35,6 @@ from repro.blas import backend as _backend
 from repro.blas.plan import PAIR
 from repro.telemetry.provenance import current_site_id as _current_site_id
 from repro.telemetry.registry import active as _telemetry_active
-from repro.types import Precision
 
 __all__ = ["gemm_4m", "gemm_3m", "gemm_4m_split_planned", "gemm_3m_planned"]
 
@@ -136,7 +135,7 @@ def gemm_3m(
 BATCH_PAIRS_MAX_BYTES = 256 << 10
 
 
-def gemm_4m_split_planned(a_handle, b_handle, precision, n_terms, backend=None) -> np.ndarray:
+def gemm_4m_split_planned(a_handle, b_handle, lowering, backend=None) -> np.ndarray:
     """4M complex GEMM with split-precision component real GEMMs.
 
     This is ``gemm_4m(a, b, real_gemm=split_gemm_real)`` routed through
@@ -148,9 +147,11 @@ def gemm_4m_split_planned(a_handle, b_handle, precision, n_terms, backend=None) 
     ``Ci`` are written from the block straight into the output; larger
     outputs run the four part products one at a time.  Every part
     product is the same 2-D product, accumulated in the same pair
-    order, either way.  The component products execute on ``backend``
-    (default: the ambient :func:`repro.blas.backend.active_backend`);
-    the Cr/Ci assembly is cheap element-wise work and stays in NumPy.
+    order, either way.  ``lowering`` (a
+    :class:`repro.blas.modes.Lowering` of a split family) selects the
+    split.  The component products execute on ``backend`` (default: the
+    ambient :func:`repro.blas.backend.active_backend`); the Cr/Ci
+    assembly is cheap element-wise work and stays in NumPy.
     """
     from repro.blas.workspace import split_gemm_fused
 
@@ -162,24 +163,24 @@ def gemm_4m_split_planned(a_handle, b_handle, precision, n_terms, backend=None) 
         b_handle.shape[-1],
     )
     # Ozaki and emulated-FP64 products accumulate in float64.
-    acc_bytes = 8 if precision in (Precision.INT8, Precision.FP64) else 4
+    acc_bytes = 8 if lowering.family in ("ozaki", "efp64") else 4
     if 4 * acc_bytes * math.prod(out_shape) <= BATCH_PAIRS_MAX_BYTES:
         block = split_gemm_fused(
-            a_handle, b_handle, precision, n_terms, part_a=PAIR, part_b=PAIR, backend=be
+            a_handle, b_handle, lowering, part_a=PAIR, part_b=PAIR, backend=be
         )
         out = np.empty(block.shape[2:], dtype=cdt)
         np.subtract(block[0, 0], block[1, 1], out=out.real)
         np.add(block[0, 1], block[1, 0], out=out.imag)
         return out
     cr = split_gemm_fused(
-        a_handle, b_handle, precision, n_terms, part_a="re", part_b="re", backend=be
+        a_handle, b_handle, lowering, part_a="re", part_b="re", backend=be
     ) - split_gemm_fused(
-        a_handle, b_handle, precision, n_terms, part_a="im", part_b="im", backend=be
+        a_handle, b_handle, lowering, part_a="im", part_b="im", backend=be
     )
     ci = split_gemm_fused(
-        a_handle, b_handle, precision, n_terms, part_a="re", part_b="im", backend=be
+        a_handle, b_handle, lowering, part_a="re", part_b="im", backend=be
     ) + split_gemm_fused(
-        a_handle, b_handle, precision, n_terms, part_a="im", part_b="re", backend=be
+        a_handle, b_handle, lowering, part_a="im", part_b="re", backend=be
     )
     out = np.empty(cr.shape, dtype=cdt)
     out.real = cr

@@ -5,20 +5,13 @@ The public surface mirrors the BLAS level-3 family the paper exercises
 :func:`gemm`) with NumPy-friendly conventions: ``C = alpha * op(A) @
 op(B) + beta * C``.
 
-Mode semantics (matching oneMKL):
-
-* ``FLOAT_TO_*`` modes affect only *single-precision* routines
-  (``sgemm``/``cgemm``); double-precision calls always run standard,
-  exactly as in MKL (which is why the paper's QXMD FP64 phase is
-  untouched by the environment variable).
-* ``OZAKI_INT8`` is likewise single-only: scaled INT8 slice products
-  with exact integer accumulation, summed in FP64 and rounded once to
-  FP32.
-* ``EMULATED_FP64`` applies at *either* width: FP64 operands split
-  into three FP32 terms (exact), FP32 operands into one, with all
-  pair products accumulated at FP64.
-* ``COMPLEX_3M`` affects complex routines at either precision.
-* Everything else runs standard FP32/FP64 ``np.matmul``.
+Each call resolves its compute mode and lowers it once
+(:meth:`repro.blas.modes.ComputeMode.lower`): oneMKL's contract of
+which mode acts on which routine (``FLOAT_TO_*`` and ``OZAKI_INT8`` on
+single precision only, ``COMPLEX_3M`` on complex only,
+``EMULATED_FP64`` at either width), and the split family, multiply
+format and term count the call runs with.  The call's MKL_VERBOSE
+record and device booking carry the mode that lowering honours.
 
 Every call may be timed by the attached device model (see
 :func:`use_device`) and logged through :mod:`repro.blas.verbose`.
@@ -35,14 +28,13 @@ import numpy as np
 from repro import context as _context
 from repro.blas import backend as _backend
 from repro.blas.complex3m import gemm_3m_planned, gemm_4m_split_planned
-from repro.blas.modes import ComputeMode, _resolve
+from repro.blas.modes import ComputeMode, Lowering, _resolve
 from repro.blas.plan import OrientedOperand, PreparedOperand, operand_handle
-from repro.blas.rounding import round_to_precision
 from repro.blas.verbose import VerboseRecord, _emit, _log_for
 from repro.blas.workspace import split_gemm_fused
 from repro.telemetry.provenance import register_call_site, site_scope
 from repro.telemetry.registry import active as _telemetry_active
-from repro.types import Precision
+from repro.types import ROUTINES
 
 __all__ = [
     "gemm",
@@ -139,13 +131,7 @@ def _assert_finite(routine: str, a, b, a_plan=None, b_plan=None) -> None:
 # ----------------------------------------------------------------------
 
 
-def _routine_name(dtype: np.dtype) -> str:
-    return {
-        np.dtype(np.float32): "sgemm",
-        np.dtype(np.float64): "dgemm",
-        np.dtype(np.complex64): "cgemm",
-        np.dtype(np.complex128): "zgemm",
-    }[dtype]
+_ROUTINE_OF = {dtype: name for name, dtype in ROUTINES.items()}
 
 
 def _working_dtype(a: np.ndarray, b: np.ndarray) -> np.dtype:
@@ -175,11 +161,11 @@ def _call_mode(explicit, ctx) -> ComputeMode:
 def _compute(
     a_h: OrientedOperand,
     b_h: OrientedOperand,
-    mode: ComputeMode,
+    lowering: Lowering,
     dtype: np.dtype,
     be,
 ) -> np.ndarray:
-    """Run ``op(A) @ op(B)`` under ``mode`` over operand handles.
+    """Run ``op(A) @ op(B)`` as ``lowering`` says, over operand handles.
 
     The handles serve every derived operand form (contiguous casts,
     real/imag parts, split-term stacks) from their plans, so a
@@ -188,53 +174,18 @@ def _compute(
     the level-3 products; the entry points take it from their one
     execution-context read and pass it down.
     """
-    is_complex = dtype.kind == "c"
-    is_single = dtype in (np.dtype(np.float32), np.dtype(np.complex64))
-
-    if mode.is_low_precision and is_single:
-        if is_complex:
-            # MKL composes FLOAT_TO_* with the standard 4M complex
-            # decomposition: each real component GEMM is split.
-            return gemm_4m_split_planned(
-                a_h, b_h, mode.component_precision, mode.n_terms, backend=be
-            )
-        # Real single precision: inputs are rounded/split directly.
-        return split_gemm_fused(
-            a_h, b_h, mode.component_precision, mode.n_terms, backend=be
+    if lowering.family is None:
+        out = be.to_numpy(
+            be.matmul(a_h.contiguous_native(be), b_h.contiguous_native(be))
         )
-
-    if mode.uses_int8 and is_single:
-        # Ozaki scheme: scaled INT8 slices, exact integer accumulation,
-        # FP32 rescale-and-sum.  Single-precision only, like FLOAT_TO_*;
-        # composes with 4M for complex via the same fused engine
-        # (Precision.INT8 is the split-family marker).
-        if is_complex:
-            return gemm_4m_split_planned(
-                a_h, b_h, Precision.INT8, mode.n_terms, backend=be
-            )
-        return split_gemm_fused(a_h, b_h, Precision.INT8, mode.n_terms, backend=be)
-
-    if mode.uses_fp64_emulation:
-        # Emulated FP64: FP32-term splitting with FP64 (compensated)
-        # accumulation.  Applies at either storage width — three terms
-        # reconstruct an FP64 operand exactly; single-precision inputs
-        # need one term and gain FP64 accumulation over STANDARD.
-        n_terms = 3 if not is_single else 1
-        if is_complex:
-            return gemm_4m_split_planned(
-                a_h, b_h, Precision.FP64, n_terms, backend=be
-            )
-        return split_gemm_fused(a_h, b_h, Precision.FP64, n_terms, backend=be)
-
-    if mode.uses_3m and is_complex:
+        return out.astype(dtype, copy=False)
+    if lowering.family == "3m":
         return gemm_3m_planned(a_h, b_h, backend=be)
-
-    # STANDARD, or a mode that does not apply to this routine
-    # (FLOAT_TO_* on dgemm/zgemm, COMPLEX_3M on real routines).
-    out = be.to_numpy(
-        be.matmul(a_h.contiguous_native(be), b_h.contiguous_native(be))
-    )
-    return out.astype(dtype, copy=False)
+    if dtype.kind == "c":
+        # MKL composes the split families with the standard 4M complex
+        # decomposition: each real component GEMM is split.
+        return gemm_4m_split_planned(a_h, b_h, lowering, backend=be)
+    return split_gemm_fused(a_h, b_h, lowering, backend=be)
 
 
 # ----------------------------------------------------------------------
@@ -282,8 +233,8 @@ def gemm(
 def _dispatch(function, a, b, alpha, trans_a, trans_b, mode, beta=0.0, c=None):
     """The body of :func:`gemm` (2-D operands) and
     :func:`repro.blas.batch.gemm_batch` (3-D stacks, ``function ==
-    "gemm_batch"``): one execution-context read, one mode resolution,
-    one device booking and one MKL_VERBOSE record per call."""
+    "gemm_batch"``): one execution-context read, one mode resolution and
+    lowering, one device booking and one MKL_VERBOSE record per call."""
     batched = function == "gemm_batch"
     ndim = 3 if batched else 2
     a_plan = a if isinstance(a, PreparedOperand) else None
@@ -308,8 +259,8 @@ def _dispatch(function, a, b, alpha, trans_a, trans_b, mode, beta=0.0, c=None):
 
     ctx = _context.current()
     dtype = _working_dtype(a_arr, b_arr)
-    effective = _call_mode(mode, ctx)
-    routine = _routine_name(dtype)
+    lowering = _call_mode(mode, ctx).lower(dtype)
+    routine = _ROUTINE_OF[dtype]
 
     a_h = operand_handle(a_plan if a_plan is not None else a_arr, trans_a, dtype)
     b_h = operand_handle(b_plan if b_plan is not None else b_arr, trans_b, dtype)
@@ -334,9 +285,9 @@ def _dispatch(function, a, b, alpha, trans_a, trans_b, mode, beta=0.0, c=None):
     t0 = time.perf_counter()
     if site_id:
         with site_scope(site_id):
-            out = _compute(a_h, b_h, effective, dtype, be)
+            out = _compute(a_h, b_h, lowering, dtype, be)
     else:
-        out = _compute(a_h, b_h, effective, dtype, be)
+        out = _compute(a_h, b_h, lowering, dtype, be)
     wall = time.perf_counter() - t0
 
     if alpha != 1.0:
@@ -353,11 +304,12 @@ def _dispatch(function, a, b, alpha, trans_a, trans_b, mode, beta=0.0, c=None):
     model_seconds = None
     if device is not None and batched:
         model_seconds = device.record_gemm_batch(
-            routine=routine, m=m, n=n, k=k, batch=batch, mode=effective, site=ctx.site
+            routine=routine, m=m, n=n, k=k, batch=batch, mode=lowering.mode,
+            site=ctx.site,
         )
     elif device is not None:
         model_seconds = device.record_gemm(
-            routine=routine, m=m, n=n, k=k, mode=effective, site=ctx.site
+            routine=routine, m=m, n=n, k=k, mode=lowering.mode, site=ctx.site
         )
     log = _log_for(ctx)
     if log is not None or _telemetry_active() is not None:
@@ -369,7 +321,7 @@ def _dispatch(function, a, b, alpha, trans_a, trans_b, mode, beta=0.0, c=None):
                 m=m,
                 n=n,
                 k=k,
-                mode=effective,
+                mode=lowering.mode,
                 seconds=wall,
                 model_seconds=model_seconds,
                 site=ctx.site,
@@ -425,6 +377,3 @@ def zgemm(a, b, **kwargs):
     """Double-precision complex GEMM (only ``COMPLEX_3M`` applies)."""
     return _zgemm_typed(a, b, **kwargs)
 
-
-# Re-export for modules that want to round storage explicitly.
-round_storage = round_to_precision

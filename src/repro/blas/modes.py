@@ -22,7 +22,9 @@ import contextlib
 import enum
 import os
 import threading
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
+
+import numpy as np
 
 from repro import context as _context
 from repro.blas.rounding import OZAKI_MAX_SLICES
@@ -30,6 +32,7 @@ from repro.types import Precision
 
 __all__ = [
     "ComputeMode",
+    "Lowering",
     "MKL_COMPUTE_MODE_ENV",
     "OZAKI_SLICES_ENV",
     "UnknownComputeModeError",
@@ -87,6 +90,45 @@ def set_ozaki_slices(n: Optional[int]) -> None:
 
 class UnknownComputeModeError(ValueError):
     """Raised when an environment value or mode string is not recognised."""
+
+
+#: The single-precision storage dtypes: the routines ``FLOAT_TO_*`` and
+#: ``OZAKI_INT8`` act on, and those ``EMULATED_FP64`` splits into one term.
+_SINGLE = (np.dtype(np.float32), np.dtype(np.complex64))
+
+
+class Lowering(NamedTuple):
+    """How one GEMM routine runs under a compute mode
+    (:meth:`ComputeMode.lower`): the one decision the emulation runs,
+    the call record names and the device model prices."""
+
+    #: Mode honoured: ``STANDARD`` where the requested mode does not
+    #: apply to the routine; ``None`` for a direct engine call
+    #: (:func:`repro.blas.split.split_gemm_real`).
+    mode: Optional[ComputeMode]
+    #: ``None`` (native products), ``"3m"``, or the split family that
+    #: runs the products: ``"split"`` (BF16/TF32 mantissa terms),
+    #: ``"ozaki"`` (scaled INT8 slices) or ``"efp64"`` (FP32 terms,
+    #: FP64 accumulation).
+    family: Optional[str]
+    #: Format of the multiply stage.
+    multiply: Precision
+    #: Terms (slices) each operand is split into; 1 when unsplit.
+    n_terms: int
+
+    @property
+    def n_pairs(self) -> int:
+        """Component products per real product: the ``n(n+1)/2`` pairs
+        of :func:`repro.blas.split.component_pairs`, 1 when unsplit."""
+        return self.n_terms * (self.n_terms + 1) // 2
+
+    def n_products(self, is_complex: bool) -> int:
+        """Real component products of one GEMM: :attr:`n_pairs` per real
+        product, of which a complex GEMM has four (4M), or three under
+        ``"3m"``."""
+        if self.family == "3m":
+            return 3
+        return (4 if is_complex else 1) * self.n_pairs
 
 
 class ComputeMode(enum.Enum):
@@ -162,7 +204,7 @@ class ComputeMode(enum.Enum):
         ``OZAKI_INT8`` is configurable (:func:`get_ozaki_slices`);
         ``EMULATED_FP64`` reports its FP64-operand term count (3 FP32
         terms carry all 53 significand bits) — single-precision routines
-        need only one FP64-accumulated term, resolved at dispatch.
+        need only one FP64-accumulated term (:meth:`lower`).
         """
         if self is ComputeMode.OZAKI_INT8:
             return get_ozaki_slices()
@@ -191,6 +233,28 @@ class ComputeMode(enum.Enum):
     def uses_3m(self) -> bool:
         """Whether complex GEMMs use the 3-multiplication algorithm."""
         return self is ComputeMode.COMPLEX_3M
+
+    def lower(self, dtype) -> Lowering:
+        """How a GEMM on ``dtype`` storage runs under this mode.
+
+        oneMKL's contract: ``FLOAT_TO_*`` and ``OZAKI_INT8`` act only on
+        single-precision routines and ``COMPLEX_3M`` only on complex
+        ones; those calls run ``STANDARD`` elsewhere.  ``EMULATED_FP64``
+        applies at either width: three FP32 terms reconstruct an FP64
+        operand exactly, one is exact for an FP32 operand.
+        """
+        dtype = np.dtype(dtype)
+        single = dtype in _SINGLE
+        if single and self.is_low_precision:
+            return Lowering(self, "split", self.component_precision, self.n_terms)
+        if single and self.uses_int8:
+            return Lowering(self, "ozaki", self.component_precision, self.n_terms)
+        if self.uses_fp64_emulation:
+            return Lowering(self, "efp64", self.component_precision, 1 if single else 3)
+        native = Precision.FP32 if single else Precision.FP64
+        if self.uses_3m and dtype.kind == "c":
+            return Lowering(self, "3m", native, 1)
+        return Lowering(ComputeMode.STANDARD, None, native, 1)
 
     @classmethod
     def parse(cls, value: Union[str, "ComputeMode", None]) -> "ComputeMode":

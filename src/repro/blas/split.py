@@ -28,7 +28,6 @@ from repro.types import Precision
 __all__ = [
     "split_gemm_real",
     "component_pairs",
-    "emulated_fp64_term_count",
 ]
 
 
@@ -80,6 +79,7 @@ def split_gemm_real(
     n_terms:
         Number of split terms per input (1, 2 or 3 in oneMKL).
     """
+    from repro.blas.modes import Lowering
     from repro.blas.plan import operand_handle
     from repro.blas.workspace import split_gemm_fused
 
@@ -93,15 +93,5 @@ def split_gemm_real(
         raise ValueError(f"inner dimensions differ: {a_arr.shape} @ {b_arr.shape}")
     a_h = operand_handle(a, "N", np.float32)
     b_h = operand_handle(b, "N", np.float32)
-    return split_gemm_fused(a_h, b_h, precision, n_terms)
+    return split_gemm_fused(a_h, b_h, Lowering(None, "split", precision, n_terms))
 
-
-def emulated_fp64_term_count(dtype) -> int:
-    """Split terms the ``EMULATED_FP64`` mode uses for this storage.
-
-    FP64 operands need three FP32 terms (72 > 53 significand bits);
-    FP32 operands are already exactly representable as a single term,
-    so the mode degenerates to one FP64-accumulated FP32 product — the
-    cheapest arithmetic that still beats FP32 accumulation.
-    """
-    return 3 if np.dtype(dtype) in (np.dtype(np.float64), np.dtype(np.complex128)) else 1

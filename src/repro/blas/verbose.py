@@ -63,7 +63,7 @@ class VerboseRecord:
     m: int
     n: int
     k: int
-    mode: ComputeMode     #: effective compute mode of the call
+    mode: ComputeMode     #: mode the call honoured (ComputeMode.lower)
     seconds: float        #: wall-clock time of the software emulation
     model_seconds: Optional[float] = None  #: device-model predicted time
     site: str = ""        #: application call site (nlp_prop / calc_energy / remap_occ)

@@ -43,11 +43,12 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.blas import backend as _backend
+from repro.blas.modes import Lowering
 from repro.blas.plan import PAIR
 from repro.blas.rounding import OZAKI_EXACT_K
 from repro.telemetry.provenance import current_site_id as _current_site_id
 from repro.telemetry.registry import active as _telemetry_active
-from repro.types import MANTISSA_BITS, Precision
+from repro.types import MANTISSA_BITS
 
 __all__ = [
     "Workspace",
@@ -190,8 +191,7 @@ def _outer_pair_views(a_terms, b_terms):
 def split_gemm_fused(
     a_handle,
     b_handle,
-    precision: Precision,
-    n_terms: int,
+    lowering: Lowering,
     *,
     part_a: Optional[str] = None,
     part_b: Optional[str] = None,
@@ -215,29 +215,31 @@ def split_gemm_fused(
     component products, consuming per-backend native mirrors of the
     stacks (cached on the plan, so device staging is once per block).
 
-    ``precision`` selects the splitting family: ``BF16``/``TF32`` use
-    the mantissa-truncation split; the marker values ``Precision.INT8``
-    (Ozaki scaled-slice split, FP32 result; see :func:`_ozaki_gemm`)
-    and ``Precision.FP64`` (emulated-FP64 FP32-term split, result in the
-    handles' real working width) route to their own plan-cached stacks.
+    ``lowering.family`` selects the split: ``"split"`` truncates
+    mantissas to ``lowering.multiply`` (BF16/TF32), ``"ozaki"`` takes
+    scaled INT8 slices (FP32 result; see :func:`_ozaki_gemm`) and
+    ``"efp64"`` FP32 terms (result in the handles' real working width),
+    each from its own plan-cached stacks of ``lowering.n_terms`` terms.
     All families accumulate their pair products in
     :func:`repro.blas.split.component_pairs` order.
     """
     from repro.blas.split import component_pairs
 
     be = _backend.active_backend() if backend is None else backend
+    family, n_terms = lowering.family, lowering.n_terms
     t = _telemetry_active()
     if t is not None:
         t.count(
             "blas.split_gemm_fused",
-            precision=precision.name,
+            # Emulated FP64 is labelled by the format it emulates.
+            precision="FP64" if family == "efp64" else lowering.multiply.name,
             n_terms=n_terms,
             site=_current_site_id() or "-",
             backend=be.cache_key,
         )
-    if precision is Precision.INT8:
+    if family == "ozaki":
         return _ozaki_gemm(a_handle, b_handle, n_terms, part_a, part_b, be)
-    if precision is Precision.FP64:
+    if family == "efp64":
         a_terms = a_handle.efp64_stack_native(be, n_terms, part=part_a)
         b_terms = b_handle.efp64_stack_native(be, n_terms, part=part_b)
         double = np.dtype(a_handle.dtype) in (
@@ -246,7 +248,7 @@ def split_gemm_fused(
         )
         out_dtype = np.float64 if double else np.float32
     else:
-        keep = MANTISSA_BITS[precision]
+        keep = MANTISSA_BITS[lowering.multiply]
         a_terms = a_handle.split_stack_native(be, keep, n_terms, part=part_a)
         b_terms = b_handle.split_stack_native(be, keep, n_terms, part=part_b)
         out_dtype = None

@@ -132,6 +132,25 @@ class BlasSweep:
         self.model = GemmModel(spec)
         self.routine = routine
 
+    def point(self, mode: ComputeMode, n_orb: int) -> SweepPoint:
+        """One Fig. 3b point on the device model: the remap_occ shape at
+        ``n_orb`` orbitals, timed under STANDARD and under ``mode``.
+
+        :meth:`sweep` and the distributed engine's sweep cells both
+        evaluate their points here.
+        """
+        m, n, k = remap_gemm_shape(n_orb)
+        fp32 = self.model.seconds(self.routine, m, n, k, ComputeMode.STANDARD)
+        alt = self.model.seconds(self.routine, m, n, k, mode)
+        t = _telemetry_active()
+        if t is not None:
+            # Device-model evaluations are not emulation calls; they get
+            # their own counter series.
+            t.count("blas.model_calls", 2, routine=self.routine, mode=mode.env_value)
+        return SweepPoint(
+            n_orb=n_orb, mode=mode, m=m, n=n, k=k, fp32_seconds=fp32, mode_seconds=alt
+        )
+
     def sweep(
         self,
         norbs: Sequence[int] = FIG3B_NORBS,
@@ -147,24 +166,7 @@ class BlasSweep:
         modes = list(modes)
 
         def eval_mode(mode: ComputeMode) -> List[SweepPoint]:
-            points: List[SweepPoint] = []
-            for n_orb in norbs:
-                m, n, k = remap_gemm_shape(n_orb)
-                fp32 = self.model.seconds(self.routine, m, n, k, ComputeMode.STANDARD)
-                alt = self.model.seconds(self.routine, m, n, k, mode)
-                t = _telemetry_active()
-                if t is not None:
-                    # Device-model evaluations are not emulation calls;
-                    # they get their own counter series.
-                    t.count("blas.model_calls", 2, routine=self.routine,
-                            mode=mode.env_value)
-                points.append(
-                    SweepPoint(
-                        n_orb=n_orb, mode=mode, m=m, n=n, k=k,
-                        fp32_seconds=fp32, mode_seconds=alt,
-                    )
-                )
-            return points
+            return [self.point(mode, n_orb) for n_orb in norbs]
 
         # Serial unless explicitly asked (None -> 1): keeps the default
         # behaviour identical to the historical loop.

@@ -13,7 +13,7 @@ from typing import List, Tuple
 
 from repro.blas.modes import ComputeMode
 from repro.gpu.specs import DeviceSpec, MAX_1550_STACK, peak_table
-from repro.types import EXPONENT_BITS, MANTISSA_BITS, Precision
+from repro.types import EXPONENT_BITS, MANTISSA_BITS, Precision, real_dtype
 
 __all__ = [
     "table1_rows",
@@ -48,11 +48,10 @@ def peak_theoretical_speedup(mode: ComputeMode, spec: DeviceSpec = MAX_1550_STAC
         return 1.0
     if mode.uses_3m:
         return 4.0 / 3.0
-    if mode.uses_fp64_emulation:
-        peak_ratio = spec.peak(Precision.FP32) / spec.peak(Precision.FP64)
-        return peak_ratio / 6.0
-    peak_ratio = spec.peak(mode.component_precision) / spec.peak(Precision.FP32)
-    return peak_ratio / mode.n_component_products
+    native = Precision.FP64 if mode.uses_fp64_emulation else Precision.FP32
+    lowering = mode.lower(real_dtype(native))
+    peak_ratio = spec.peak(lowering.multiply) / spec.peak(native)
+    return peak_ratio / lowering.n_pairs
 
 
 def table2_rows(spec: DeviceSpec = MAX_1550_STACK) -> List[Tuple[str, str, float]]:

@@ -171,35 +171,15 @@ class SweepSpec:
 
 
 def _run_sweep_cell(cell: Cell, params: dict) -> dict:
-    """One (mode, n_orb) point of the Fig. 3b device-model sweep.
-
-    The body mirrors ``BlasSweep.sweep``'s per-point evaluation line
-    for line (same model, same telemetry counter), so the merged grid
-    is the serial sweep, bit for bit.
-    """
+    """One (mode, n_orb) point of the Fig. 3b device-model sweep:
+    :meth:`repro.core.blas_sweep.BlasSweep.point`, so the merged grid is
+    the serial sweep, bit for bit."""
     from repro.blas.modes import ComputeMode
-    from repro.core.blas_sweep import remap_gemm_shape
-    from repro.gpu.gemm_model import GemmModel
-    from repro.telemetry.registry import active as _telemetry_active
+    from repro.core.blas_sweep import BlasSweep
 
-    routine = str(params.get("routine", "cgemm"))
-    mode = ComputeMode.parse(cell.mode)
-    m, n, k = remap_gemm_shape(int(cell.n_orb))
-    model = GemmModel()
-    fp32 = model.seconds(routine, m, n, k, ComputeMode.STANDARD)
-    alt = model.seconds(routine, m, n, k, mode)
-    t = _telemetry_active()
-    if t is not None:
-        t.count("blas.model_calls", 2, routine=routine, mode=mode.env_value)
-    return {
-        "n_orb": int(cell.n_orb),
-        "mode": mode.env_value,
-        "m": m,
-        "n": n,
-        "k": k,
-        "fp32_seconds": fp32,
-        "mode_seconds": alt,
-    }
+    sweep = BlasSweep(routine=str(params.get("routine", "cgemm")))
+    point = sweep.point(ComputeMode.parse(cell.mode), int(cell.n_orb))
+    return {**dataclasses.asdict(point), "mode": point.mode.env_value}
 
 
 def _run_study_cell(cell: Cell, params: dict) -> dict:

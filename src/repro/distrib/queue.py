@@ -134,7 +134,8 @@ class ShardStats:
     corrupt_records: int = 0
     steals: int = 0
     lease_takeovers: int = 0
-    #: worker -> {"cells", "steals", "lease_takeovers", "worker_seconds"}
+    #: worker -> {"cells", "steals", "lease_takeovers", "worker_seconds"};
+    #: ``cells`` counts the cells the worker won, the rest every record.
     per_worker: Dict[str, Dict[str, float]] = dataclasses.field(default_factory=dict)
 
 
@@ -392,7 +393,6 @@ class WorkQueue:
                 worker,
                 {"cells": 0, "steals": 0, "lease_takeovers": 0, "worker_seconds": 0.0},
             )
-            per["cells"] += 1
             per["worker_seconds"] += float(rec.get("seconds", 0.0))
             if rec.get("stolen"):
                 per["steals"] += 1
@@ -403,6 +403,7 @@ class WorkQueue:
             if key in winners:
                 stats.duplicates += 1
                 continue
+            per["cells"] += 1
             winners[key] = rec
         stats.completed = len(winners)
         return winners, stats

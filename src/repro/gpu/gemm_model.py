@@ -1,7 +1,8 @@
 """Per-mode GEMM cost model for the Max 1550 stack.
 
-A logical BLAS call is lowered to the same internal structure the
-software emulation (and oneMKL) uses:
+A logical BLAS call is lowered by the same decision the software
+emulation runs (:meth:`repro.blas.modes.ComputeMode.lower`, oneMKL's
+contract), into this internal structure:
 
 * real standard GEMM          -> 1 component product at FP32/FP64;
 * complex standard (4M)       -> 4 real component products;
@@ -33,22 +34,13 @@ by fiat:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict
 
 from repro.blas.modes import ComputeMode
 from repro.gpu.roofline import RooflinePoint, roofline_time
 from repro.gpu.specs import DeviceSpec, MAX_1550_STACK
-from repro.types import Precision
+from repro.types import ROUTINES, Precision
 
-__all__ = ["GemmCost", "GemmModel", "ROUTINE_INFO"]
-
-#: routine -> (is_complex, real element bytes, storage precision)
-ROUTINE_INFO: Dict[str, tuple] = {
-    "sgemm": (False, 4, Precision.FP32),
-    "dgemm": (False, 8, Precision.FP64),
-    "cgemm": (True, 4, Precision.FP32),
-    "zgemm": (True, 8, Precision.FP64),
-}
+__all__ = ["GemmCost", "GemmModel"]
 
 #: bytes per element of each reduced component format in memory.
 _COMPONENT_BYTES = {
@@ -95,57 +87,34 @@ class GemmModel:
     # ------------------------------------------------------------------
 
     def effective_mode(self, routine: str, mode: ComputeMode) -> ComputeMode:
-        """Mode actually honoured for this routine (mirrors the BLAS layer)."""
-        is_complex, _, storage = ROUTINE_INFO[routine]
-        if mode.is_low_precision and storage is not Precision.FP32:
-            return ComputeMode.STANDARD      # FLOAT_TO_* is single-only
-        if mode.uses_int8 and storage is not Precision.FP32:
-            return ComputeMode.STANDARD      # Ozaki INT8 is single-only too
-        if mode.uses_3m and not is_complex:
-            return ComputeMode.STANDARD      # 3M is complex-only
-        return mode
+        """Mode actually honoured for this routine (:meth:`ComputeMode.lower`)."""
+        return mode.lower(ROUTINES[routine]).mode
 
     def cost(self, routine: str, m: int, n: int, k: int, mode: ComputeMode) -> GemmCost:
         """Resolve the modelled cost of one logical GEMM call."""
-        if routine not in ROUTINE_INFO:
-            raise ValueError(f"unknown routine {routine!r}; known: {sorted(ROUTINE_INFO)}")
+        dtype = ROUTINES.get(routine)
+        if dtype is None:
+            raise ValueError(f"unknown routine {routine!r}; known: {sorted(ROUTINES)}")
         if min(m, n, k) <= 0:
             raise ValueError(f"GEMM dims must be positive, got m={m} n={n} k={k}")
-        is_complex, elem, storage = ROUTINE_INFO[routine]
-        mode = self.effective_mode(routine, mode)
+        lowering = mode.lower(dtype)
+        mode = lowering.mode
 
         # --- component structure ---------------------------------------
-        complex_factor = 1
-        if is_complex:
-            complex_factor = 3 if mode.uses_3m else 4
-        is_split = mode.is_low_precision or mode.uses_int8 or mode.uses_fp64_emulation
-        if mode.uses_fp64_emulation:
-            # FP64 storage: three FP32 terms, six pair products; single
-            # storage needs one FP64-accumulated FP32 product.
-            n_terms = 3 if storage is Precision.FP64 else 1
-            n_products = complex_factor * (n_terms * (n_terms + 1) // 2)
-            mult_precision = Precision.FP32
-            comp_bytes = _COMPONENT_BYTES[mult_precision]
-        elif is_split:
-            # FLOAT_TO_* mantissa splits and the Ozaki INT8 slice split
-            # share the structure: n(n+1)/2 reduced-format products.
-            n_products = complex_factor * mode.n_component_products
-            mult_precision = mode.component_precision
-            comp_bytes = _COMPONENT_BYTES[mult_precision]
-            n_terms = mode.n_terms
-        else:
-            n_products = complex_factor
-            mult_precision = storage
-            comp_bytes = elem
-            n_terms = 1
+        is_complex = dtype.kind == "c"
+        # Real-part matrices: a complex operand is two real matrices.
+        parts = 2 if is_complex else 1
+        elem = dtype.itemsize // parts
+        is_split = lowering.family not in (None, "3m")
+        n_products = lowering.n_products(is_complex)
+        n_terms = lowering.n_terms
+        mult_precision = lowering.multiply
 
         # --- flops -------------------------------------------------------
         # Each real component product is 2*m*n*k flops (multiply+add).
         flops = 2.0 * m * n * k * n_products
 
         # --- memory traffic ----------------------------------------------
-        # Real-part matrices: a complex operand is two real matrices.
-        parts = 2 if is_complex else 1
         a_elems = m * k * parts
         b_elems = k * n * parts
         c_elems = m * n * parts
@@ -156,6 +125,7 @@ class GemmModel:
         if is_split:
             # Conversion pass: read FP32 operands once, write n_terms
             # component copies of each.
+            comp_bytes = _COMPONENT_BYTES[mult_precision]
             traffic += operand_elems * elem
             traffic += operand_elems * n_terms * comp_bytes
             n_kernels += 2  # the two conversion kernels
@@ -172,7 +142,7 @@ class GemmModel:
             base = parts  # one stream per real-part matrix
             reuse = base + self.cross_product_restream * (n_products - base)
             traffic += (m * k + k * n) * elem * reuse
-        if mode.uses_3m and is_complex:
+        if lowering.family == "3m":
             # Forming (Ar+Ai) and (Br+Bi): read both parts, write sum;
             # recombining outputs: three m*n add passes.
             traffic += (a_elems + b_elems) * elem * 1.5

@@ -35,14 +35,9 @@ class RooflineEntry:
 
 
 def ridge_point(spec: DeviceSpec, mode: ComputeMode) -> float:
-    """Arithmetic intensity where the mode's compute roof meets the
-    memory roof (flops/byte)."""
-    if mode.is_low_precision:
-        rate = spec.sustained(mode.component_precision)
-    else:
-        from repro.types import Precision
-
-        rate = spec.sustained(Precision.FP32)
+    """Arithmetic intensity where the compute roof of the mode's
+    single-precision multiply format meets the memory roof (flops/byte)."""
+    rate = spec.sustained(mode.lower(np.float32).multiply)
     return rate / spec.effective_bandwidth()
 
 

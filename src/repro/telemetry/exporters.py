@@ -77,50 +77,38 @@ def write_jsonl(collector: Telemetry, path: PathLike) -> Path:
     return path
 
 
-def read_jsonl(path: PathLike, tolerant: bool = False) -> dict:
+def read_jsonl(path: PathLike) -> dict:
     """Parse a JSONL trace back into its constituent parts.
 
     Returns ``{"meta": dict, "events": [dict], "counters": {name:
     value}, "gauges": {name: value}, "histograms": {name: Histogram}}``
     — the exact inverse of :func:`write_jsonl` over the exported state.
-
-    ``tolerant=True`` drops undecodable or unknown-typed lines instead
-    of raising and reports the count in ``meta["corrupt_lines"]`` —
-    for traces that may carry a truncated trailing record (a crashed
-    writer, a distributed worker's shard).
+    An undecodable or unknown-typed line raises ``ValueError``.
     """
     meta: dict = {}
     events: List[dict] = []
     counters: Dict[str, float] = {}
     gauges: Dict[str, float] = {}
     histograms: Dict[str, Histogram] = {}
-    corrupt = 0
     for line in Path(path).read_text().splitlines():
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise ValueError(f"JSONL record is not an object: {obj!r}")
-            kind = obj.pop("type")
-            if kind == "meta":
-                meta = obj
-            elif kind == "event":
-                events.append(obj)
-            elif kind == "counter":
-                counters[obj["name"]] = obj["value"]
-            elif kind == "gauge":
-                gauges[obj["name"]] = obj["value"]
-            elif kind == "histogram":
-                histograms[obj.pop("name")] = Histogram.from_dict(obj)
-            else:
-                raise ValueError(f"unknown JSONL record type {kind!r}")
-        except (ValueError, KeyError):
-            if not tolerant:
-                raise
-            corrupt += 1
-    if tolerant and corrupt:
-        meta["corrupt_lines"] = corrupt
+        obj = json.loads(line)
+        if not isinstance(obj, dict):
+            raise ValueError(f"JSONL record is not an object: {obj!r}")
+        kind = obj.pop("type")
+        if kind == "meta":
+            meta = obj
+        elif kind == "event":
+            events.append(obj)
+        elif kind == "counter":
+            counters[obj["name"]] = obj["value"]
+        elif kind == "gauge":
+            gauges[obj["name"]] = obj["value"]
+        elif kind == "histogram":
+            histograms[obj.pop("name")] = Histogram.from_dict(obj)
+        else:
+            raise ValueError(f"unknown JSONL record type {kind!r}")
     return {
         "meta": meta,
         "events": events,

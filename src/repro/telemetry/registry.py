@@ -40,6 +40,7 @@ import time
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.telemetry.provenance import register_call_site as _register_call_site
+from repro.types import ROUTINES
 
 __all__ = [
     "TELEMETRY_ENV",
@@ -88,9 +89,6 @@ MAX_EVENTS = _max_events_from_env()
 
 #: Histogram bucket upper bounds, seconds (log-spaced 1 us .. 10 s).
 BUCKET_BOUNDS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
-
-#: Bytes per element of each BLAS routine's storage dtype.
-_ROUTINE_ITEMSIZE = {"sgemm": 4, "dgemm": 8, "cgemm": 8, "zgemm": 16}
 
 
 class Histogram:
@@ -330,7 +328,8 @@ class Telemetry:
             backend=backend,
         )
         self.count("blas.flops", rec.flops, routine=rec.routine)
-        itemsize = _ROUTINE_ITEMSIZE.get(rec.routine, 8)
+        dtype = ROUTINES.get(rec.routine)
+        itemsize = 8 if dtype is None else dtype.itemsize
         nbytes = itemsize * rec.batch * (rec.m * rec.k + rec.k * rec.n + rec.m * rec.n)
         self.count("blas.bytes", nbytes, routine=rec.routine)
         self.observe("blas.seconds", rec.seconds)

@@ -15,6 +15,7 @@ import numpy as np
 
 __all__ = [
     "Precision",
+    "ROUTINES",
     "real_dtype",
     "complex_dtype",
     "MANTISSA_BITS",
@@ -65,6 +66,16 @@ EXPONENT_BITS = {
     Precision.TF32: 8,
     Precision.BF16: 8,
     Precision.FP16: 5,
+}
+
+
+#: The BLAS GEMM routines the paper exercises: name -> storage dtype of
+#: their operands and result.
+ROUTINES = {
+    "sgemm": np.dtype(np.float32),
+    "dgemm": np.dtype(np.float64),
+    "cgemm": np.dtype(np.complex64),
+    "zgemm": np.dtype(np.complex128),
 }
 
 

@@ -20,7 +20,7 @@ from repro.blas.rounding import (
     emulated_fp64_split_terms,
     split_terms,
 )
-from repro.blas.split import component_pairs, emulated_fp64_term_count
+from repro.blas.split import component_pairs
 from repro.types import MANTISSA_BITS
 
 
@@ -76,11 +76,15 @@ def ozaki_gemm_reference(a, b, n_slices):
 
 def emulated_fp64_gemm_reference(a, b, n_terms=None):
     """Emulated-FP64 GEMM: FP32-representable terms, float64 pair
-    products and accumulation; the result keeps the input's real width."""
+    products and accumulation; the result keeps the input's real width.
+
+    By default an FP64 operand takes three terms (72 > 53 significand
+    bits reconstruct it exactly) and an FP32 operand one."""
     _check_shapes("emulated_fp64_gemm_reference", a, b)
+    double = np.dtype(a.dtype) == np.dtype(np.float64)
     if n_terms is None:
-        n_terms = emulated_fp64_term_count(a.dtype)
+        n_terms = 3 if double else 1
     a_terms = emulated_fp64_split_terms(a, n_terms)
     b_terms = emulated_fp64_split_terms(b, n_terms)
-    rdt = np.float64 if np.dtype(a.dtype) == np.dtype(np.float64) else np.float32
+    rdt = np.float64 if double else np.float32
     return _pair_sum(a_terms, b_terms, n_terms).astype(rdt)

@@ -89,6 +89,18 @@ class TestResultShards:
         assert stats.per_worker["w1"]["steals"] == 1
         assert stats.per_worker["w0"]["cells"] == 1
 
+    def test_cells_count_winners_only(self, tmp_path):
+        # A speculative duplicate is work done, not a cell won.
+        q = make_queue(tmp_path, n_cells=1)
+        q.record_result("w0", 0, {}, seconds=0.5)
+        time.sleep(0.01)
+        q.record_result("w1", 0, {}, seconds=0.25, stolen=True)
+        _, stats = q.completed()
+        assert sum(per["cells"] for per in stats.per_worker.values()) == 1
+        assert stats.per_worker["w1"]["cells"] == 0
+        assert stats.per_worker["w1"]["worker_seconds"] == pytest.approx(0.25)
+        assert stats.per_worker["w1"]["steals"] == 1
+
     def test_per_worker_seconds_accumulate(self, tmp_path):
         q = make_queue(tmp_path, n_cells=2)
         q.record_result("w0", 0, {}, seconds=0.25)
