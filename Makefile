@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast lint ci bench bench-split bench-telemetry bench-adaptive bench-backends bench-newmodes bench-distrib distrib-smoke repro report claims claim-coverage examples clean
+.PHONY: install test test-fast lint ci bench bench-split bench-telemetry bench-adaptive bench-backends bench-newmodes bench-distrib distrib-smoke qdbench-smoke repro report claims claim-coverage examples clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -58,6 +58,11 @@ bench-distrib:
 # nothing.
 distrib-smoke:
 	$(PYTHON) scripts/distrib_smoke.py
+
+# Same gate as the CI qdbench-smoke job: every qdbench workload for 5 s,
+# untraced and traced, must exit 0 with no failed operation.
+qdbench-smoke:
+	$(PYTHON) scripts/qdbench_smoke.py
 
 repro:
 	$(PYTHON) -m repro.experiments.runner all --output repro_output/

@@ -11,23 +11,27 @@ bytes, so it can be computed once and cached.
 Two layers serve the GEMMs:
 
 * :class:`PreparedOperand` — wraps one array and memoises every derived
-  form the GEMM kernels ask for, keyed by ``(kind, trans, dtype, ...)``,
-  including cached child plans of column blocks (:meth:`columns`),
-  which keep only their split stacks and slice their parent's cached
-  forms where they can.  A complex operand's real and imaginary parts
-  are packed, split and stacked together (:data:`PAIR`), so each
-  orientation of an operand is converted in one call.
+  form the GEMM kernels ask for, keyed by ``(kind, trans, dtype, ...)``
+  (Ozaki stacks by the fibres they slice), including cached child plans
+  of column blocks (:meth:`columns`), which keep only their split
+  stacks and slice their parent's cached forms where they can.  Every
+  form, backend mirrors included, is stored by one method,
+  :meth:`PreparedOperand._derive`.  A complex operand's real and
+  imaginary parts are packed, split and stacked together (:data:`PAIR`),
+  so each orientation of an operand is converted in one call.
   Mutating the array without telling the plan would silently
   desynchronise the cache, so the class offers an explicit
   :meth:`invalidate` plus a content fingerprint (:meth:`fingerprint`,
   :meth:`refresh_if_changed`) for callers that cannot prove frozenness.
 * :func:`prepare` — identity-keyed registry so repeated ``prepare(x)``
-  on the same live array returns the same plan.  ``Simulation.run``
-  hands the :class:`~repro.dcmesh.nlp.NonlocalPropagator`'s plan of
-  ``Psi(0)`` to ``calc_energy`` and ``remap_occ`` as well.
+  on the same live array returns the same plan, until :func:`release`.
 
-A plain ``ndarray`` passed to a GEMM gets a throwaway plan for that one
-call: nothing is hashed, and its forms are derived once per call.
+A plan lives as long as its owner holds it.  ``Simulation.run`` makes
+one plan of ``Psi(0)`` per run and hands it to every block's
+:class:`~repro.dcmesh.nlp.NonlocalPropagator` (which owns ``W``'s) and
+to ``calc_energy`` and ``remap_occ``; it registers nothing.  A plain
+``ndarray`` passed to a GEMM gets a throwaway plan for that one call:
+nothing is hashed, and its forms are derived once per call.
 ``Simulation.run`` wraps each observed ``Psi(t)`` in one unregistered
 ``keep_bases=False`` plan instead, so the GEMMs of one observation
 share its split stacks and free them with the plan.
@@ -42,12 +46,12 @@ packing, same split order), so downstream ``np.matmul`` calls see
 byte-identical inputs either way.
 
 Backend-native mirrors: when a non-NumPy :class:`~repro.blas.backend.
-ArrayBackend` is active, the compute kernels ask the plan for *native*
-copies of these derived forms (``contiguous_native`` / ``part_native``
-/ ``split_stack_native``).  Mirrors are cached under keys that include
-``backend.cache_key``, so a frozen operand is staged onto a device once
-per SCF block and a backend switch can never serve another backend's
-arrays (see :meth:`PreparedOperand.native_mirror`).
+ArrayBackend` is active, the compute kernels pass it to the form
+methods (``backend=``) and get *native* copies of the forms.  A mirror
+is cached under ``("native", backend.cache_key)`` plus the form's own
+key, so a frozen operand is staged onto a device once per SCF block
+and a backend switch can never serve another backend's arrays (see
+:meth:`PreparedOperand._mirror`).
 """
 
 from __future__ import annotations
@@ -114,6 +118,21 @@ def _split_mode_label(keep_bits: int, n_terms: int) -> str:
     return base if n_terms == 1 else f"{base}x{n_terms}"
 
 
+def _count(t, key: tuple, result: str) -> None:
+    """Count one request for form ``key`` under its kind's counter:
+    ``blas.plan.native{backend}`` for a mirror, ``blas.plan.split{mode}``
+    for a split stack, ``blas.plan.derive{kind}`` for any other form."""
+    site = _current_site_id() or "-"
+    kind = key[0]
+    if kind == "native":
+        t.count("blas.plan.native", result=result, backend=key[1], site=site)
+    elif kind == "split":
+        mode = _split_mode_label(key[2], key[3])
+        t.count("blas.plan.split", result=result, mode=mode, site=site)
+    else:
+        t.count("blas.plan.derive", result=result, kind=kind, site=site)
+
+
 def _swapped(x: np.ndarray, trans: str) -> np.ndarray:
     """``x`` with its last two axes swapped for ``'T'``/``'C'`` (a view)."""
     if trans == "N":
@@ -146,12 +165,8 @@ _PAIR_INDEX = {"re": 0, "im": 1}
 
 #: Kinds a :meth:`PreparedOperand.columns` child can slice from its
 #: parent's cached form: every form that is elementwise in the operand,
-#: plus Ozaki stacks when the cut runs across their fibres.
+#: plus Ozaki stacks whose fibres are columns.
 _SLICEABLE_KINDS = ("oriented", "parts", "split", "ozaki", "efp64")
-
-#: The ``trans`` whose packing of ``B`` is ``op(B)``ᵀ (for ``'C'`` up to
-#: the conjugation, which :meth:`PreparedOperand.ozaki_stack` applies).
-_TRANSPOSED = {"N": "T", "T": "N", "C": "N"}
 
 
 class PreparedOperand:
@@ -215,7 +230,10 @@ class PreparedOperand:
         view._cols = self._cols
         return view
 
-    def _store(self, kind: str) -> Optional[Dict[tuple, object]]:
+    def _store(self, key: tuple) -> Optional[Dict[tuple, object]]:
+        """Where form ``key`` is cached (``None``: nowhere).  A native
+        mirror is kept wherever the form it mirrors is."""
+        kind = key[2] if key[0] == "native" else key[0]
         return self._bases if kind in _BASE_KINDS else self._derived
 
     def _from_parent(self, key: tuple):
@@ -223,30 +241,28 @@ class PreparedOperand:
 
         ``None`` unless this plan is a :meth:`columns` child whose live
         parent has cached that very form.  Ozaki stacks are sliced only
-        when the cut runs across their fibres (``'T'``/``'C'`` for
-        operand ``a``, ``'N'`` for ``b``); along them, the block's fibre
-        scales differ from the parent's.  Across them the block is a
-        block of the stack's rows (its fibres), so the slice is a row
-        view.  Every other form is elementwise in the operand, so the
-        slice holds exactly the values the block would derive itself: a
-        row view for ``'T'``/``'C'``, a packed copy of the columns for
+        when their fibres are the stored array's columns: the block then
+        holds whole fibres, the stack's rows, so the slice is a row view.
+        Along rows, the block's fibre scales differ from the parent's.
+        Every other form is elementwise in the operand, so the slice
+        holds exactly the values the block would derive itself: a row
+        view for ``'T'``/``'C'``, a packed copy of the columns for
         ``'N'``.
         """
         kind = key[0]
         parent = self._parent() if self._parent is not None else None
         if parent is None or kind not in _SLICEABLE_KINDS:
             return None
-        trans = key[1]
-        if kind == "ozaki" and (trans == "N") != (key[4] == "b"):
+        if kind == "ozaki" and key[1] != "cols":
             return None
-        store = parent._store(kind)
+        store = parent._store(key)
         form = None if store is None else store.get(key)
         if form is None:
             return None
         start, stop = self._cols
         if kind == "ozaki":
             return form.select((..., slice(start, stop), slice(None)))
-        if trans == "N":
+        if key[1] == "N":
             return np.ascontiguousarray(form[..., start:stop])
         return form[..., start:stop, :]
 
@@ -298,45 +314,66 @@ class PreparedOperand:
 
     # -- derived forms -------------------------------------------------
 
-    def _derive(self, key: tuple, builder):
-        store = self._store(key[0])
+    def _derive(self, key: tuple, build):
+        """Form ``key``: cached, else sliced from the parent's, else built.
+
+        The one place a form is stored.  ``build()`` returns the new form
+        and how it was made (``'build'``, or a split's
+        ``'extend'``/``'full'``); a cache hit is ``'hit'`` and a parent
+        slice ``'slice'``, the ``result`` label of the form's counter
+        (:func:`_count`).
+        """
+        store = self._store(key)
         got = None if store is None else store.get(key)
-        t = _telemetry_active()
+        result = "hit"
         if got is None:
             got = self._from_parent(key)
-            if t is not None:
-                t.count(
-                    "blas.plan.derive",
-                    result="build" if got is None else "slice",
-                    kind=key[0],
-                    site=_current_site_id() or "-",
-                )
+            result = "slice"
             if got is None:
-                got = builder()
+                got, result = build()
             if store is not None:
                 with self._lock:
                     got = store.setdefault(key, got)
-        elif t is not None:
-            t.count(
-                "blas.plan.derive",
-                result="hit",
-                kind=key[0],
-                site=_current_site_id() or "-",
-            )
+        t = _telemetry_active()
+        if t is not None:
+            _count(t, key, result)
         return got
 
-    def oriented(self, trans: str, dtype: np.dtype) -> np.ndarray:
-        """``op(A)`` cast to ``dtype`` and packed C-contiguous."""
+    def _mirror(self, backend, key: tuple, form):
+        """``form``, cached under ``key``, as ``backend``'s native array.
+
+        A mirror is a form like any other, cached under ``("native",
+        backend.cache_key) + key``: a frozen operand is staged onto a
+        device at most once per SCF block, two backends never share a
+        buffer (the cache key is the isolation boundary, as in
+        :class:`repro.blas.workspace.Workspace`), and :meth:`invalidate`
+        drops mirrors with the NumPy forms.  ``backend=None`` and
+        NumPy-native backends get ``form`` itself.
+        """
+        if backend is None or backend.capabilities.native_is_numpy:
+            return form
+        return self._derive(
+            ("native", backend.cache_key) + key,
+            lambda: (backend.to_native(form), "build"),
+        )
+
+    def oriented(self, trans: str, dtype: np.dtype, backend=None):
+        """``op(A)`` cast to ``dtype`` and packed C-contiguous.
+
+        Every form method takes ``backend``: given, the form comes back
+        as that backend's native array (:meth:`_mirror`).
+        """
         dtype = np.dtype(dtype)
+        key = ("oriented", trans, dtype.str)
 
         def build():
             op = _swapped(self.array.astype(dtype, copy=False), trans)
             if trans == "C" and dtype.kind == "c":
                 # Conjugate straight into the packed buffer (one pass).
-                return np.conjugate(op, out=np.empty(op.shape, dtype))
-            return np.ascontiguousarray(op)
+                return np.conjugate(op, out=np.empty(op.shape, dtype)), "build"
+            return np.ascontiguousarray(op), "build"
 
-        return self._derive(("oriented", trans, dtype.str), build)
+        return self._mirror(backend, key, self._derive(key, build))
 
     def parts(self, trans: str, dtype: np.dtype) -> np.ndarray:
         """Real and imaginary parts of ``op(A)`` as one ``(2, ...)`` array.
@@ -359,27 +396,30 @@ class PreparedOperand:
                 np.negative(op.imag, out=out[1])
             else:
                 np.copyto(out[1], op.imag)
-            return out
+            return out, "build"
 
         return self._derive(("parts", trans, dtype.str), build)
 
-    def part(self, trans: str, dtype: np.dtype, which: str) -> np.ndarray:
+    def part(self, trans: str, dtype: np.dtype, which: str, backend=None):
         """Contiguous real/imag part of ``op(A)`` (4M/3M decomposition).
 
         ``which`` is ``'re'`` or ``'im'`` (a view into :meth:`parts`) or
         ``'re+im'`` (the 3M sum term).
         """
         dtype = np.dtype(dtype)
+        key = ("part", trans, dtype.str, which)
         if which in _PAIR_INDEX:
-            return self.parts(trans, dtype)[_PAIR_INDEX[which]]
-        if which != "re+im":
+            form = self.parts(trans, dtype)[_PAIR_INDEX[which]]
+        elif which == "re+im":
+
+            def build():
+                pair = self.parts(trans, dtype)
+                return pair[0] + pair[1], "build"
+
+            form = self._derive(key, build)
+        else:
             raise ValueError(f"which must be 're', 'im' or 're+im', got {which!r}")
-
-        def build():
-            pair = self.parts(trans, dtype)
-            return pair[0] + pair[1]
-
-        return self._derive(("part", trans, dtype.str, which), build)
+        return self._mirror(backend, key, form)
 
     def _family_base(self, trans: str, part, real_dtype, pair_dtype) -> np.ndarray:
         """What a split family converts: ``op(A)`` cast to ``real_dtype``
@@ -410,7 +450,7 @@ class PreparedOperand:
             child = PreparedOperand(self.array[..., start:stop], keep_bases=False)
             child._parent = weakref.ref(self)
             child._cols = (start, stop)
-            return child
+            return child, "build"
 
         return self._derive(("columns", start, stop), build)
 
@@ -422,7 +462,8 @@ class PreparedOperand:
         *,
         part: Optional[str] = None,
         dtype: Optional[np.dtype] = None,
-    ) -> np.ndarray:
+        backend=None,
+    ):
         """Stacked split terms, shape ``(n_terms, *op_shape)``.
 
         ``part=None`` splits the (real) operand itself; :data:`PAIR`
@@ -443,53 +484,35 @@ class PreparedOperand:
         same one a from-scratch split would run.  Only plans that keep
         their base forms keep residuals.
         """
+        key = ("split", trans, keep_bits, n_terms, part)
         if part in _PAIR_INDEX:
             pair = self.split_stack(trans, keep_bits, n_terms, part=PAIR, dtype=dtype)
-            return pair[:, _PAIR_INDEX[part]]
-        key = ("split", trans, keep_bits, n_terms, part)
-        got = self._derived.get(key)
-        result = "hit"
-        if got is None:
-            got = self._from_parent(key)
-            result = "slice"
-        if got is None:
-            got, result = self._build_split(trans, keep_bits, n_terms, part, dtype)
-        t = _telemetry_active()
-        if t is not None:
-            t.count(
-                "blas.plan.split",
-                result=result,
-                mode=_split_mode_label(keep_bits, n_terms),
-                site=_current_site_id() or "-",
-            )
-        if result != "hit":
-            with self._lock:
-                got = self._derived.setdefault(key, got)
-        return got
+            return self._mirror(backend, key, pair[:, _PAIR_INDEX[part]])
 
-    def _build_split(self, trans, keep_bits, n_terms, part, dtype):
-        """A new split stack and how it was made (``'extend'``/``'full'``)."""
-        # Extend the widest cached shorter split (needs its residual)
-        # before falling back to a from-scratch decomposition.
-        for n in range(n_terms - 1, 0, -1):
-            resid = self._derived.get(("split_resid", trans, keep_bits, n, part))
-            stack = self._derived.get(("split", trans, keep_bits, n, part))
-            if resid is not None and stack is not None:
-                built, residual = extend_split(stack, resid, keep_bits, n_terms - n)
-                result = "extend"
-                break
-        else:
-            base = self._family_base(
-                trans, part, np.float32, np.dtype(dtype or np.complex64)
-            )
-            built, residual = split_terms_residual(base, keep_bits, n_terms)
-            result = "full"
-        if self._bases is self._derived:
-            with self._lock:
-                self._derived.setdefault(
-                    ("split_resid", trans, keep_bits, n_terms, part), residual
+        def build():
+            # Extend the widest cached shorter split (needs its residual)
+            # before falling back to a from-scratch decomposition.
+            for n in range(n_terms - 1, 0, -1):
+                resid = self._derived.get(("split_resid", trans, keep_bits, n, part))
+                stack = self._derived.get(("split", trans, keep_bits, n, part))
+                if resid is not None and stack is not None:
+                    built, residual = extend_split(stack, resid, keep_bits, n_terms - n)
+                    result = "extend"
+                    break
+            else:
+                base = self._family_base(
+                    trans, part, np.float32, np.dtype(dtype or np.complex64)
                 )
-        return built, result
+                built, residual = split_terms_residual(base, keep_bits, n_terms)
+                result = "full"
+            if self._bases is self._derived:
+                with self._lock:
+                    self._derived.setdefault(
+                        ("split_resid", trans, keep_bits, n_terms, part), residual
+                    )
+            return built, result
+
+        return self._mirror(backend, key, self._derive(key, build))
 
     def ozaki_stack(
         self,
@@ -499,41 +522,69 @@ class PreparedOperand:
         part: Optional[str] = None,
         operand: str = "a",
         dtype: Optional[np.dtype] = None,
+        backend=None,
     ) -> OzakiSlices:
         """Ozaki INT8 slices with the contraction axis last.
 
-        ``operand`` selects the layout: ``'a'`` slices ``op(A)``, whose
-        rows are its fibres; ``'b'`` slices ``op(B)``ᵀ, so the fibres —
-        ``op(B)``'s columns — are rows there too and :meth:`columns`
-        children of either take a row view.  Each fibre has one
-        power-of-two scale, so every output dot product sees one fixed
-        scale per slice pair.  ``part`` works as for :meth:`split_stack`
-        (the pair's fibres never mix its parts).  The form is the
-        :class:`~repro.blas.rounding.OzakiSlices` that
+        A fibre is what one power-of-two scale covers: a row of
+        ``op(A)`` for ``operand='a'``, a column of ``op(B)`` for ``'b'``,
+        so every output dot product sees one fixed scale per slice pair.
+        The form is keyed by the fibres it slices, the stored array's
+        rows or columns, conjugated or not, and holds them as its rows
+        (``op(A)``, or ``op(B)``ᵀ): ``op(A) = Xᵀ`` and ``op(B) = X`` are
+        one form, and :meth:`columns` children take a row view of it
+        when the fibres are columns.  ``part`` works as for
+        :meth:`split_stack` (the pair's fibres never mix its parts).
+
+        The form is the :class:`~repro.blas.rounding.OzakiSlices` that
         :func:`repro.blas.rounding.ozaki_slice_terms` returns for the
-        exact values the cold path would slice, so cached and fresh
-        forms are bitwise identical.
+        values the cold path slices, except for a conjugate whose twin
+        is cached in float32: its imaginary slices are the twin's
+        negated.  Every step of the slicing is odd in its input but one:
+        a remainder that reaches zero is ``+0`` for either sign, so the
+        twin's later zero slices may carry the other sign.  No product
+        reads a zero's sign (each dot product's sum starts at ``+0``), so
+        GEMM results are bitwise those of slicing afresh.  Float64 twins
+        (non-finite fibres) are not negated: a NaN's sign would differ.
+
+        With ``backend``, the slices come back as the kernels multiply
+        them: in ``op(X)``'s layout (``op(B)``, a transposed view, for
+        operand ``'b'``) and mirrored into ``backend``.
         """
         if operand not in ("a", "b"):
             raise ValueError(f"operand must be 'a' or 'b', got {operand!r}")
+        fibres = "rows" if (trans == "N") == (operand == "a") else "cols"
+        conj = trans == "C" and part is not None
+        key = ("ozaki", fibres, conj, n_slices, part)
         if part in _PAIR_INDEX:
             pair = self.ozaki_stack(
                 trans, n_slices, part=PAIR, operand=operand, dtype=dtype
             )
-            return pair.select(_PAIR_INDEX[part])
+            form = pair.select(_PAIR_INDEX[part])
+        else:
 
-        def build():
-            cdt = np.dtype(dtype or np.complex64)
-            if operand == "a":
-                base = self._family_base(trans, part, np.float32, cdt)
-            else:
-                base = self._family_base(_TRANSPOSED[trans], part, np.float32, cdt)
-                if trans == "C" and part == PAIR:
-                    base = base.copy()  # op(B)ᵀ = conj(B): negate the im part
+            def build():
+                twin = self._derived.get(("ozaki", fibres, not conj, n_slices, part))
+                if twin is not None and twin.slices.dtype == np.float32:
+                    slices = np.empty_like(twin.slices)
+                    np.copyto(slices[:, 0], twin.slices[:, 0])
+                    np.negative(twin.slices[:, 1], out=slices[:, 1])
+                    return OzakiSlices(slices, twin.exponents), "build"
+                base_trans = "N" if fibres == "rows" else "C" if conj else "T"
+                cdt = np.dtype(dtype or np.complex64)
+                base = self._family_base(base_trans, part, np.float32, cdt)
+                if conj and fibres == "rows":
+                    base = base.copy()  # conj(X)'s rows: negate the im part
                     np.negative(base[1], out=base[1])
-            return ozaki_slice_terms(base, n_slices)
+                return ozaki_slice_terms(base, n_slices), "build"
 
-        return self._derive(("ozaki", trans, n_slices, part, operand), build)
+            form = self._derive(key, build)
+        if backend is None:
+            return form
+        stack = form.slices if operand == "a" else np.swapaxes(form.slices, -1, -2)
+        return OzakiSlices(
+            self._mirror(backend, key + (operand,), stack), form.exponents
+        )
 
     def efp64_stack(
         self,
@@ -542,7 +593,8 @@ class PreparedOperand:
         *,
         part: Optional[str] = None,
         dtype: Optional[np.dtype] = None,
-    ) -> np.ndarray:
+        backend=None,
+    ):
         """Stacked emulated-FP64 split terms, ``(n_terms, *op_shape)``.
 
         FP64 operands split into FP32-representable float64 terms
@@ -555,64 +607,24 @@ class PreparedOperand:
         """
         wdt = np.dtype(dtype or np.float64)
         double = wdt in (np.dtype(np.float64), np.dtype(np.complex128))
+        key = ("efp64", trans, n_terms, part, double)
         if part in _PAIR_INDEX:
             pair = self.efp64_stack(trans, n_terms, part=PAIR, dtype=dtype)
-            return pair[:, _PAIR_INDEX[part]]
+            return self._mirror(backend, key, pair[:, _PAIR_INDEX[part]])
 
         def build():
             base = self._family_base(
                 trans, part, np.float64 if double else np.float32, wdt
             )
-            return emulated_fp64_split_terms(base, n_terms)
+            return emulated_fp64_split_terms(base, n_terms), "build"
 
-        return self._derive(("efp64", trans, n_terms, part, double), build)
-
-    def native_mirror(self, backend, key: tuple, array: np.ndarray):
-        """Backend-native copy of a derived NumPy form, cached per backend.
-
-        ``key`` must be the derived form's own cache key; the native
-        entry lives under ``("native", backend.cache_key) + key``, so
-        (a) a frozen operand is staged onto a device at most once per
-        SCF block, and (b) two backends can never alias one cached
-        buffer — the cache key *is* the isolation boundary (the same
-        invariant the workspace pool enforces, see
-        :class:`repro.blas.workspace.Workspace`).  Mirrors are derived
-        forms like any other: :meth:`invalidate` drops them with the
-        NumPy originals.
-
-        NumPy-native backends short-circuit: the derived form is
-        already the native array, so this is one attribute check.
-        """
-        if backend.capabilities.native_is_numpy:
-            return array
-        k = ("native", backend.cache_key) + key
-        store = self._store(key[0])
-        got = None if store is None else store.get(k)
-        t = _telemetry_active()
-        if got is None:
-            if t is not None:
-                t.count(
-                    "blas.plan.native",
-                    result="build",
-                    backend=backend.cache_key,
-                    site=_current_site_id() or "-",
-                )
-            got = backend.to_native(array)
-            if store is not None:
-                with self._lock:
-                    got = store.setdefault(k, got)
-        elif t is not None:
-            t.count(
-                "blas.plan.native",
-                result="hit",
-                backend=backend.cache_key,
-                site=_current_site_id() or "-",
-            )
-        return got
+        return self._mirror(backend, key, self._derive(key, build))
 
     def is_finite(self) -> bool:
         """Memoised ``np.isfinite(A).all()`` (the opt-in input check)."""
-        return self._derive(("finite",), lambda: bool(np.isfinite(self.array).all()))
+        return self._derive(
+            ("finite",), lambda: (bool(np.isfinite(self.array).all()), "build")
+        )
 
 
 class OrientedOperand:
@@ -620,7 +632,10 @@ class OrientedOperand:
 
     Thin and ephemeral: it exists so the mode-dispatch code can ask for
     exactly the derived form it needs without knowing whether the
-    backing plan is cached or throwaway.
+    backing plan is cached or throwaway.  The ``*_native`` methods ask
+    for the same forms staged into ``backend``'s array type: the NumPy
+    forms themselves for the NumPy backend, per-backend mirrors cached
+    on the plan otherwise.
     """
 
     __slots__ = ("plan", "trans", "dtype")
@@ -637,75 +652,37 @@ class OrientedOperand:
     def contiguous(self) -> np.ndarray:
         return self.plan.oriented(self.trans, self.dtype)
 
-    def part(self, which: str) -> np.ndarray:
-        return self.plan.part(self.trans, self.dtype, which)
-
     def split_stack(self, keep_bits: int, n_terms: int, part: Optional[str] = None) -> np.ndarray:
         return self.plan.split_stack(
             self.trans, keep_bits, n_terms, part=part, dtype=self.dtype
         )
 
-    # -- backend-native forms ------------------------------------------
-    #
-    # Same derived forms, staged into the active backend's array type.
-    # For the NumPy backend these return the arrays above unchanged
-    # (one capability-flag check); for device backends the plan caches
-    # the converted/staged copy per backend (see ``native_mirror``).
-
     def contiguous_native(self, backend):
-        arr = self.contiguous()
-        return self.plan.native_mirror(
-            backend, ("oriented", self.trans, self.dtype.str), arr
-        )
+        return self.plan.oriented(self.trans, self.dtype, backend)
 
     def part_native(self, backend, which: str):
-        arr = self.part(which)
-        return self.plan.native_mirror(
-            backend, ("part", self.trans, self.dtype.str, which), arr
-        )
+        return self.plan.part(self.trans, self.dtype, which, backend)
 
     def split_stack_native(
         self, backend, keep_bits: int, n_terms: int, part: Optional[str] = None
     ):
-        arr = self.split_stack(keep_bits, n_terms, part=part)
-        return self.plan.native_mirror(
-            backend, ("split", self.trans, keep_bits, n_terms, part), arr
-        )
-
-    def ozaki_stack(
-        self, n_slices: int, part: Optional[str] = None, operand: str = "a"
-    ) -> OzakiSlices:
-        return self.plan.ozaki_stack(
-            self.trans, n_slices, part=part, operand=operand, dtype=self.dtype
+        return self.plan.split_stack(
+            self.trans, keep_bits, n_terms, part=part, dtype=self.dtype, backend=backend
         )
 
     def ozaki_stack_native(
         self, backend, n_slices: int, part: Optional[str] = None, operand: str = "a"
-    ):
-        """``(slices, exponents)`` of the Ozaki form in ``op(X)``'s layout.
-
-        The slice stack, with ``op(B)``ᵀ swapped back to ``op(B)`` for
-        operand ``'b'`` (a view), is mirrored into ``backend``; the
-        exponents stay NumPy.
-        """
-        stack, exponents = self.ozaki_stack(n_slices, part=part, operand=operand)
-        if operand == "b":
-            stack = np.swapaxes(stack, -1, -2)
-        native = self.plan.native_mirror(
-            backend, ("ozaki", self.trans, n_slices, part, operand), stack
-        )
-        return native, exponents
-
-    def efp64_stack(self, n_terms: int, part: Optional[str] = None) -> np.ndarray:
-        return self.plan.efp64_stack(
-            self.trans, n_terms, part=part, dtype=self.dtype
+    ) -> OzakiSlices:
+        """``(slices, exponents)`` in ``op(X)``'s layout, the slices
+        mirrored into ``backend`` (the exponents stay NumPy)."""
+        return self.plan.ozaki_stack(
+            self.trans, n_slices, part=part, operand=operand, dtype=self.dtype,
+            backend=backend,
         )
 
     def efp64_stack_native(self, backend, n_terms: int, part: Optional[str] = None):
-        arr = self.efp64_stack(n_terms, part=part)
-        double = self.dtype in (np.dtype(np.float64), np.dtype(np.complex128))
-        return self.plan.native_mirror(
-            backend, ("efp64", self.trans, n_terms, part, double), arr
+        return self.plan.efp64_stack(
+            self.trans, n_terms, part=part, dtype=self.dtype, backend=backend
         )
 
 

@@ -92,6 +92,7 @@ def snapshot() -> dict:
     into them.
     """
     from repro.blas.backend import active_backend
+    from repro.blas.gemm import finite_checks_enabled
     from repro.blas.modes import get_compute_mode, get_ozaki_slices
     from repro.core.scheduler import adaptive_enabled
     from repro.telemetry.drift import drift_enabled
@@ -111,6 +112,7 @@ def snapshot() -> dict:
         "site": ctx.site,
         "backend": active_backend().cache_key,
         "ozaki_slices": get_ozaki_slices(),
+        "check_finite": finite_checks_enabled(),
         "telemetry": telemetry_enabled(),
         "drift": drift_enabled(),
         "adaptive": adaptive_enabled(),
@@ -132,6 +134,7 @@ def restore(snap: dict) -> None:
     if not snap:
         return
     from repro.blas.backend import backend_or_numpy
+    from repro.blas.gemm import check_finite
     from repro.blas.modes import ComputeMode, set_ozaki_slices
     from repro.blas.policy import SitePolicy
     from repro.core.scheduler import set_adaptive_enabled
@@ -150,6 +153,8 @@ def restore(snap: dict) -> None:
     )
     if "ozaki_slices" in snap:
         set_ozaki_slices(snap["ozaki_slices"])
+    if "check_finite" in snap:
+        check_finite(snap["check_finite"])
     if "drift" in snap:
         set_drift_enabled(snap["drift"])
     if "adaptive" in snap:

@@ -26,12 +26,13 @@ ambient ``MKL_BLAS_COMPUTE_MODE``.
 
 from __future__ import annotations
 
+from typing import Union
 
 import numpy as np
 import scipy.linalg
 
 from repro.blas.gemm import call_site, gemm
-from repro.blas.plan import prepare
+from repro.blas.plan import PreparedOperand
 from repro.dcmesh.mesh import Mesh
 
 __all__ = ["NonlocalPropagator"]
@@ -42,7 +43,7 @@ class NonlocalPropagator:
 
     def __init__(
         self,
-        psi0: np.ndarray,
+        psi0: Union[np.ndarray, PreparedOperand],
         h_nl_sub: np.ndarray,
         dt: float,
         mesh: Mesh,
@@ -52,14 +53,20 @@ class NonlocalPropagator:
         ----------
         psi0:
             Reference Kohn–Sham orbitals at the last SCF update,
-            ``(N_grid, N_orb)``, already at LFD storage precision.
+            ``(N_grid, N_orb)``, already at LFD storage precision, or
+            their plan: ``Simulation.run`` passes one plan of ``Psi(0)``
+            to every block's propagator, so its forms are converted
+            once per run.
         h_nl_sub:
             Nonlocal Hamiltonian in that subspace, ``(N_orb, N_orb)``
             Hermitian, FP64 (built by the QXMD phase).
         dt:
             QD timestep, atomic units.
         """
-        psi0 = np.asarray(psi0)
+        if not isinstance(psi0, PreparedOperand):
+            psi0 = PreparedOperand(psi0)
+        self.psi0_plan = psi0
+        psi0 = psi0.array
         h_nl_sub = np.asarray(h_nl_sub, dtype=np.complex128)
         if psi0.ndim != 2:
             raise ValueError(f"psi0 must be (N_grid, N_orb), got {psi0.shape}")
@@ -82,14 +89,11 @@ class NonlocalPropagator:
         # W = U - I so the correction is additive: Psi += Psi0 W S.
         w = u - np.eye(n_orb)
         self.w = w.astype(psi0.dtype, copy=False)
-        # Psi(0) is frozen for the whole SCF block, so its conversion
-        # work (contiguous parts, split terms) is prepared once and
-        # shared by all ~500 steps; Simulation.run hands this plan to
-        # calc_energy and remap_occ too.  prepare() is identity-keyed:
-        # successive propagators built on the same psi0 array (one per
-        # SCF block) reuse the same plan.
-        self.psi0_plan = prepare(self.psi0)
-        self.w_plan = prepare(self.w)
+        # Psi(0) and W are frozen for the whole SCF block, so their
+        # conversion work (contiguous parts, split terms) is done once
+        # and shared by all ~500 steps.  W's plan is this propagator's
+        # own and dies with it.
+        self.w_plan = PreparedOperand(self.w)
         # Baseline fingerprints now (one read-only pass each): they are
         # what makes refresh_plans() at SCF block boundaries able to
         # *prove* the cached forms still match the operand bytes.

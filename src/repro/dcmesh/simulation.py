@@ -490,6 +490,11 @@ class Simulation:
             v_eff = solver.effective_potential(density)
             psi = boundary.psi.astype(cdt)
 
+        # Psi(0) is frozen for the whole run: one plan, owned here and
+        # handed to every block's NonlocalPropagator and observation,
+        # converts it once and dies with the run.
+        psi0_plan = PreparedOperand(psi0)
+
         def total_field(t_au: float) -> np.ndarray:
             a = cfg.laser.vector_potential(t_au)
             if field is not None:
@@ -499,10 +504,10 @@ class Simulation:
         def observe(t_au: float, psi_now: np.ndarray, h_nl: PreparedOperand) -> QDRecord:
             nonlocal etot0
             a = total_field(t_au)
-            # Psi(0) goes in as the block's prepared operand: its split
-            # is built once and reused by all three paper functions.
+            # Psi(0) goes in as the run's plan: its split is built once
+            # and reused by all three paper functions.
             e, r, j = observe_state(
-                psi_now, nlp.psi0_plan, h_nl, occupations, mesh, v_eff,
+                psi_now, psi0_plan, h_nl, occupations, mesh, v_eff,
                 a, pol, device=self.device,
             )
             if etot0 is None:
@@ -558,7 +563,7 @@ class Simulation:
                             dm.set_budget_for_mode(
                                 effective_mode, cfg.dt, float(np.linalg.norm(h_nl_sub))
                             )
-                    nlp = NonlocalPropagator(psi0, h_nl_sub, cfg.dt, mesh)
+                    nlp = NonlocalPropagator(psi0_plan, h_nl_sub, cfg.dt, mesh)
                     # calc_energy's H_nl at storage precision: cast and
                     # converted once per block, not once per step.
                     h_nl_plan = PreparedOperand(h_nl_sub.astype(cdt, copy=False))
@@ -674,13 +679,6 @@ class Simulation:
                                     ),
                                 ),
                             )
-
-        # Drop the run's prepared-operand registry entry: the next run
-        # starts from a fresh psi0 copy, so the cached splits (several
-        # times psi0's footprint) must not outlive the trajectory.
-        from repro.blas.plan import release
-
-        release(psi0)
 
         if dm is not None:
             dm.finalize()

@@ -252,7 +252,7 @@ def _run_probe_cell(cell: Cell, params: dict) -> dict:
     import numpy as np
 
     from repro.blas.backend import active_backend
-    from repro.blas.gemm import sgemm
+    from repro.blas.gemm import finite_checks_enabled, sgemm
     from repro.blas.modes import get_compute_mode, get_ozaki_slices
     from repro.core.scheduler import adaptive_enabled
     from repro.telemetry.drift import drift_enabled
@@ -265,6 +265,7 @@ def _run_probe_cell(cell: Cell, params: dict) -> dict:
         "index": cell.seed,
         "backend": active_backend().cache_key,
         "ozaki_slices": get_ozaki_slices(),
+        "check_finite": finite_checks_enabled(),
         "telemetry": telemetry_enabled(),
         "drift": drift_enabled(),
         "adaptive": adaptive_enabled(),

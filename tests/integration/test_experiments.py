@@ -116,6 +116,22 @@ class TestAccuracyFigures:
         assert (tmp_path / "figure2_javg_log10.csv").exists()
 
 
+class TestPareto:
+    def test_static_and_adaptive_points(self, tmp_path):
+        from repro.blas.modes import ComputeMode
+        from repro.experiments import pareto
+
+        out = pareto.run(
+            fast=True, output_dir=str(tmp_path), modes=(ComputeMode.FLOAT_TO_BF16,)
+        )
+        rows = {r[0]: r for r in out["rows"]}
+        assert set(rows) == {"FLOAT_TO_BF16", "ADAPTIVE"}
+        assert all(r[-1] in ("yes", "NO") for r in out["rows"])
+        assert out["scheduler"]["unhandled_breaches"] == 0
+        assert (tmp_path / "pareto.csv").read_text().count("\n") == 1 + len(rows)
+        assert "Pareto frontier" in (tmp_path / "pareto_figure.txt").read_text()
+
+
 @pytest.mark.slow
 class TestReport:
     def test_report_generation(self, tmp_path):

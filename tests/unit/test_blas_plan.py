@@ -609,6 +609,64 @@ class TestWarmedParentChildren:
         assert sliced == 0 if along_fibres else sliced >= 1
 
 
+class TestOzakiTwins:
+    """``op(A) = Xᴴ`` and ``op(B) = X`` slice the same fibres, X's
+    columns: a plan slices them once and derives the conjugate by
+    negating the imaginary slices, whichever is asked for first.  The
+    data holds elements that exhaust their slices early (``+-0.5``,
+    ``+-1``), whose later zero slices a negation signs differently from
+    a fresh slicing, and signed zeros; no product may differ."""
+
+    @staticmethod
+    def _x(rng, nan):
+        x = (rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))).astype(
+            np.complex64
+        )
+        exact = [0.5, -0.5, 0.0, -0.0, 0.25, -0.75, 1.0, -1.0]
+        x.real[:8, 0] = exact
+        x.imag[:8, 1] = exact
+        x[:, 2] = np.complex64(complex(-0.0, 0.0))
+        if nan:
+            x.imag[3, 4] = np.nan  # a float64-sliced fibre: sliced afresh
+        return x
+
+    @pytest.mark.parametrize("nan", [False, True])
+    @pytest.mark.parametrize("first", ["a", "b"])
+    def test_twin_products_equal_fresh_slicing(self, rng, monkeypatch, first, nan):
+        import repro.blas.plan as plan_mod
+        from repro.blas.modes import compute_mode
+
+        x = self._x(rng, nan)
+        left = (rng.standard_normal((5, 40)) + 1j * rng.standard_normal((5, 40))).astype(
+            np.complex64
+        )
+        right = np.ascontiguousarray(left.T)
+        plan = PreparedOperand(x)
+
+        def as_a(p):
+            return gemm(p, right, trans_a="C")
+
+        def as_b(p):
+            return gemm(left, p)
+
+        sliced = []
+        original = plan_mod.ozaki_slice_terms
+
+        def counted(base, n_slices):
+            if base.shape == (2, 6, 40):  # X's columns as rows
+                sliced.append(n_slices)
+            return original(base, n_slices)
+
+        monkeypatch.setattr(plan_mod, "ozaki_slice_terms", counted)
+        with compute_mode("OZAKI_INT8"), finite_checks(False):
+            for run in [as_a, as_b] if first == "a" else [as_b, as_a]:
+                got, want = run(plan), run(x)
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        # Each plain GEMM slices X afresh; the plan slices it once (twice
+        # when a NaN fibre keeps its float64 slices from being negated).
+        assert len(sliced) == 2 + (2 if nan else 1)
+
+
 class TestRunReusesPsi0:
     """A BF16X3 ``Simulation.run`` converts Psi(0) once, not per step, and
     each step's Psi(t) once per orientation."""
@@ -670,3 +728,46 @@ class TestRunReusesPsi0:
         once = counts[2] - 2 * per_step
         assert once == self.FRESH_STEP0 + self.PSI0_FORMS + self.PER_BLOCK
         assert (n_ffts[4] - n_ffts[2]) / 2 == self.FFTS_PER_STEP
+
+
+class TestRunOwnsItsPlans:
+    """Every plan ``Simulation.run`` makes (Psi(0)'s, each block's W and
+    H_nl, each observation's Psi(t)) belongs to the run: none is left in
+    a module registry once the run returns or unwinds."""
+
+    @staticmethod
+    def _track(monkeypatch):
+        import weakref
+
+        made = []
+        init = PreparedOperand.__init__
+
+        def tracking(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(weakref.ref(self))
+
+        monkeypatch.setattr(PreparedOperand, "__init__", tracking)
+        return made
+
+    @staticmethod
+    def _live(made):
+        import gc
+
+        gc.collect()
+        return sum(ref() is not None for ref in made)
+
+    def test_plans_die_with_the_run(self, tiny_sim, monkeypatch):
+        made = self._track(monkeypatch)
+        tiny_sim.run(mode="FLOAT_TO_BF16X3", n_steps=2 * tiny_sim.config.nscf)
+        assert made and self._live(made) == 0
+
+    def test_plans_die_when_the_run_raises(self, tiny_sim, monkeypatch):
+        made = self._track(monkeypatch)
+
+        def stop(step, record):
+            if step == tiny_sim.config.nscf + 1:
+                raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError, match="stop"):
+            tiny_sim.run(mode="FLOAT_TO_BF16X3", progress=stop)
+        assert made and self._live(made) == 0

@@ -7,7 +7,10 @@ between threads that were not started from the caller.
 """
 
 import contextlib
+import os
 import re
+import subprocess
+import sys
 import threading
 from collections import Counter
 from pathlib import Path
@@ -172,6 +175,33 @@ class TestProcessFanOut:
                 "adaptive",
             ):
                 assert snap[key] == caller[key], key
+
+    def test_spawned_workers_keep_the_finite_check_switch(self, tmp_path):
+        """Under ``spawn`` nothing is inherited: the workers must get the
+        switch from the caller's snapshot (``fork`` would copy it and
+        hide a missing field), and the distrib probe cell reports it."""
+        script = tmp_path / "spawn_finite.py"
+        script.write_text(
+            "import multiprocessing\n"
+            "from repro.blas.gemm import check_finite\n"
+            "from repro.context import fan_out\n"
+            "from repro.distrib.cells import Cell, run_cell\n"
+            "if __name__ == '__main__':\n"
+            "    multiprocessing.set_start_method('spawn')\n"
+            "    check_finite(True)\n"
+            "    cells = [Cell(kind='probe', seed=i) for i in range(2)]\n"
+            "    seen = fan_out(run_cell, cells, max_workers=2, processes=True)\n"
+            "    print([s.get('check_finite') for s in seen])\n"
+        )
+        env = dict(os.environ)
+        src = str(SRC.parent)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[True, True]"
 
     def test_empty_snapshot_restores_nothing(self):
         with compute_mode("FLOAT_TO_BF16"):

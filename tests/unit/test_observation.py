@@ -113,6 +113,29 @@ class TestObserveState:
         finally:
             gc.enable()
 
+    def test_warm_ozaki_observation_slices_psi_once(self, small, monkeypatch):
+        # calc_energy multiplies Psi(t)^H (operand a) and Psi(t) (operand
+        # b): both slice Psi(t)'s columns, the second is the first's
+        # conjugate twin, so Psi(t) is sliced once.  The other four
+        # slicings are T_A Psi, S, and P and P^H (two throwaway plans);
+        # Psi(0), H_nl and the blocks' forms are cached or sliced.
+        import repro.blas.plan as plan_mod
+
+        nlp = small.propagator()
+        h_plan = PreparedOperand(small.h_nl.astype(np.complex64))
+        calls = []
+        original = plan_mod.ozaki_slice_terms
+
+        def counted(x, n_slices):
+            calls.append(x.shape)
+            return original(x, n_slices)
+
+        with compute_mode("OZAKI_INT8"):
+            small.observe(nlp, h_plan)
+            monkeypatch.setattr(plan_mod, "ozaki_slice_terms", counted)
+            small.observe(nlp, h_plan)
+        assert len(calls) == 5
+
 
 #: Peak traced bytes, in multiples of Psi's, of one observation and of
 #: nlp_prop's Psi-update GEMM at a 32^3 mesh and 64 orbitals, measured
