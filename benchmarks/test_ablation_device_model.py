@@ -2,15 +2,12 @@
 
 DESIGN.md ablation #5 — the Table VI anchor call is memory-bound for
 BF16, so the calibrated bandwidth efficiency moves it while the power
-cap barely does.  Also sweeps the multi-stack extension: communication
-is mode-independent, so BF16 loses parallel efficiency before FP32.
+cap barely does.
 """
 
 import pytest
 
-from repro.blas.modes import ComputeMode
 from repro.core.ablation import device_sensitivity
-from repro.gpu.multistack import MultiStackModel
 
 
 def test_device_sensitivity(benchmark):
@@ -21,20 +18,3 @@ def test_device_sensitivity(benchmark):
     # Power cap has almost no effect there.
     assert by_knob[(0.7, 0.65)] == pytest.approx(by_knob[(0.7, 0.45)], rel=0.05)
 
-
-def test_multistack_scaling(benchmark):
-    model = MultiStackModel()
-
-    def curves():
-        out = {}
-        for mode in (ComputeMode.STANDARD, ComputeMode.FLOAT_TO_BF16):
-            out[mode] = model.scaling_curve(96**3, 1024, 432, mode)
-        return out
-
-    out = benchmark.pedantic(curves, rounds=1, iterations=1)
-    f32 = out[ComputeMode.STANDARD]
-    bf16 = out[ComputeMode.FLOAT_TO_BF16]
-    # Strong scaling holds for both...
-    assert all(p.speedup > 1 for p in f32[1:])
-    # ...but the faster mode hits the communication wall first.
-    assert bf16[-1].efficiency < f32[-1].efficiency

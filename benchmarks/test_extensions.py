@@ -1,38 +1,11 @@
-"""Bench: extension features (DC solver, spectra, mixed policy, multistack).
+"""Bench: extension features (mixed per-site policy).
 
 These time the framework pieces beyond the paper's study and assert
 their headline behaviours, so the extensions stay regression-guarded
 alongside the paper artifacts.
 """
 
-import numpy as np
-import pytest
-
-from repro.blas.modes import ComputeMode
 from repro.blas.policy import SitePolicy
-from repro.dcmesh.domains import DCSolver
-from repro.dcmesh.material import build_pto_supercell
-from repro.dcmesh.mesh import Mesh
-from repro.dcmesh.scf import SCFParams
-from repro.dcmesh.spectra import power_spectrum
-from repro.gpu.multistack import MultiStackModel
-
-
-def test_divide_and_conquer_solve(benchmark):
-    material = build_pto_supercell((1, 1, 2), lattice=6.0)
-    mesh = Mesh((8, 8, 16), material.box)
-    dc = DCSolver(material, mesh, (1, 1, 2), n_domains=2, buffer_layers=0,
-                  scf_params=SCFParams(max_iter=50, tol=1e-6))
-    result = benchmark.pedantic(dc.solve, rounds=1, iterations=1)
-    assert result.n_electrons * mesh.dv == pytest.approx(
-        material.n_electrons, rel=1e-9
-    )
-
-
-def test_power_spectrum(benchmark, bench_sim):
-    run = bench_sim.run(mode=ComputeMode.STANDARD)
-    spec = benchmark(power_spectrum, run.records)
-    assert np.isfinite(spec.values).all()
 
 
 def test_mixed_policy_run(benchmark, bench_sim):
@@ -45,12 +18,3 @@ def test_mixed_policy_run(benchmark, bench_sim):
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert len(result.records) == 11
-
-
-def test_multistack_curve(benchmark):
-    model = MultiStackModel()
-    curve = benchmark(
-        model.scaling_curve, 96**3, 1024, 432, ComputeMode.FLOAT_TO_BF16
-    )
-    assert [p.n_stacks for p in curve] == [1, 2, 4, 8]
-    assert curve[-1].speedup > 1

@@ -1,14 +1,12 @@
 #!/usr/bin/env python
-"""Operational features on one run: checkpointing, diagnostics, tracing.
+"""Operational features on one run: checkpointing and tracing.
 
 A paper-scale accuracy run is ~2 days per mode; this example shows the
 machinery a production campaign needs, on the laptop-scale system:
 
 1. run with a checkpoint written at every SCF block boundary,
 2. kill/resume — the continuation is bitwise identical,
-3. collect unitarity/orthonormality health diagnostics per step and
-   watch the FP64 SCF reset repair the drift,
-4. export the modelled device timeline as a Chrome trace.
+3. export the modelled device timeline as a Chrome trace.
 
 Run:  python examples/operations_workflow.py [workdir]
 """
@@ -16,8 +14,7 @@ Run:  python examples/operations_workflow.py [workdir]
 import sys
 from pathlib import Path
 
-
-from repro.dcmesh import DiagnosticsCollector, Simulation, SimulationConfig
+from repro.dcmesh import Simulation, SimulationConfig
 from repro.dcmesh.io import load_checkpoint
 from repro.gpu import Device, write_chrome_trace
 
@@ -32,9 +29,7 @@ def main(workdir: str = "ops_workdir") -> None:
 
     # 1-2: checkpointed run + bitwise resume.
     ckpt_path = work / "state.npz"
-    diag = DiagnosticsCollector(sim.mesh)
-    full = sim.run(mode="FLOAT_TO_BF16", checkpoint_path=ckpt_path,
-                   diagnostics=diag)
+    full = sim.run(mode="FLOAT_TO_BF16", checkpoint_path=ckpt_path)
     ckpt = load_checkpoint(ckpt_path)
     print(f"checkpoint written at QD step {ckpt.step} -> {ckpt_path}")
     resumed = sim.run(mode="FLOAT_TO_BF16", resume_from=ckpt)
@@ -42,17 +37,7 @@ def main(workdir: str = "ops_workdir") -> None:
     identical = all(a == b for a, b in zip(resumed.records, tail))
     print(f"resumed run bitwise identical to the uninterrupted tail: {identical}")
 
-    # 3: health diagnostics.
-    gram = diag.column("gram_error")
-    steps = diag.column("step")
-    print("\nGram-matrix error |Psi^H Psi - I| around the SCF resets:")
-    for boundary in range(cfg.nscf, cfg.n_qd_steps, cfg.nscf):
-        before = gram[steps == boundary][0]
-        after = gram[steps == boundary + 1][0]
-        print(f"  step {boundary:3d}: {before:.3e}  ->  step {boundary + 1}: {after:.3e}")
-    print(f"FP64 reset visibly repairs the drift: {diag.reset_visible(cfg.nscf)}")
-
-    # 4: Chrome trace of the modelled device.
+    # 3: Chrome trace of the modelled device.
     trace = work / "device_trace.json"
     write_chrome_trace(trace, device.timeline)
     print(

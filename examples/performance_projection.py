@@ -13,7 +13,6 @@ from repro.blas.modes import ComputeMode
 from repro.core.blas_sweep import BlasSweep
 from repro.core.perfstudy import PerfStudy
 from repro.core.report import render_table
-from repro.profiling.unitrace import unitrace_report
 from repro.gpu import Device
 from repro.types import Precision
 
@@ -67,50 +66,24 @@ def unitrace_view() -> None:
     buf = psi_bytes(96**3, 1024, Precision.FP32)
     for s in streams:
         device.record_stream(s.name, s.passes * buf, buffer_bytes=buf, site=s.site)
-    print()
-    print("unitrace view of one modelled 135-atom FP32 QD step:")
-    print(unitrace_report(device.timeline).render())
-
-
-def counters_view() -> None:
-    """Hardware-counter-style utilisation of the modelled step."""
-    from repro.blas.gemm import use_device
-    from repro.blas.modes import compute_mode
-    from repro.blas.verbose import mkl_verbose
-    from repro.core.schedule import qd_step_schedule
-    from repro.gpu.counters import utilization_table
-
-    device = Device()
-    gemms, _ = qd_step_schedule(96**3, 1024, 432, Precision.FP32)
-    with use_device(device), mkl_verbose() as log, compute_mode("FLOAT_TO_BF16"):
-        # Record the schedule's calls through the booking path only
-        # (shapes matter, data does not): emit one record per call.
-        from repro.blas.modes import ComputeMode
-        from repro.blas.verbose import VerboseRecord, record_call
-
-        for g in gemms:
-            secs = device.record_gemm(
-                g.routine, g.m, g.n, g.k, ComputeMode.FLOAT_TO_BF16, site=g.site
-            )
-            record_call(VerboseRecord(
-                routine=g.routine, trans_a="N", trans_b="N",
-                m=g.m, n=g.n, k=g.k, mode=ComputeMode.FLOAT_TO_BF16,
-                seconds=secs, model_seconds=secs, site=g.site,
-            ))
-        rows = utilization_table(log)
+    total = device.total_l0_time()
+    rows = sorted(device.timeline.time_by_name().items(), key=lambda kv: -kv[1])
     print()
     print(render_table(
-        ("Site", "Routine", "Mode", "Calls", "Seconds", "TFLOP/s", "x FP32 peak"),
-        rows,
-        title="Modelled utilisation of one 135-atom BF16 QD step's BLAS",
+        ("Kernel", "Time (s)", "Share"),
+        [(name, secs, secs / total) for name, secs in rows],
+        title=f"One modelled 135-atom FP32 QD step: Total L0 Time {total:.6f} s, "
+        f"{len(device.timeline)} kernels",
     ))
+    by_kind = device.timeline.time_by_kind()
+    for kind, secs in sorted(by_kind.items(), key=lambda kv: -kv[1]):
+        print(f"kind:{kind:<19s} {secs:>12.6f}")
 
 
 def main() -> None:
     fig3a_projection()
     fig3b_projection()
     unitrace_view()
-    counters_view()
 
 
 if __name__ == "__main__":

@@ -70,7 +70,6 @@ from repro.blas.plan import (
     release,
 )
 from repro.blas.workspace import clear_workspace
-from repro.blas.level1 import axpy, dotc, nrm2, scal
 from repro.blas.policy import SitePolicy, active_policy
 from repro.blas.verbose import (
     VerboseRecord,
@@ -120,10 +119,6 @@ __all__ = [
     "clear_workspace",
     "SitePolicy",
     "active_policy",
-    "axpy",
-    "dotc",
-    "nrm2",
-    "scal",
     "VerboseRecord",
     "get_verbose_log",
     "mkl_verbose",

@@ -4,7 +4,7 @@ The split/3M/plan machinery is *numerics policy*: which reduced-precision
 terms to form, which component products to run, in which order to
 accumulate.  None of that cares where the O(n^3) work executes.  This
 module is the seam between the two: every hot-path array operation the
-compute kernels issue (allocate, cast, matmul, accumulate, reduce) goes
+compute kernels issue (allocate, cast, matmul, accumulate) goes
 through an :class:`ArrayBackend`, so the same
 precision policy can ride ``np.matmul`` today and a tensor-core GEMM
 tomorrow — the "automatic BLAS offloading" direction of the TACC pilot
@@ -181,10 +181,6 @@ class ArrayBackend:
         """In-place accumulate ``out += x`` (returns ``out``)."""
         raise NotImplementedError
 
-    def reduce(self, x, axis: Optional[int] = None):
-        """Sum-reduce a native array (level-1 folds)."""
-        raise NotImplementedError
-
     def synchronize(self) -> None:
         """Block until queued device work completes (no-op on CPU)."""
 
@@ -243,9 +239,6 @@ class NumpyBackend(ArrayBackend):
 
     def copy(self, x: np.ndarray) -> np.ndarray:
         return x.copy()
-
-    def reduce(self, x, axis: Optional[int] = None):
-        return np.sum(x, axis=axis)
 
 
 #: The singleton reference backend; also the fallback for every

@@ -168,9 +168,6 @@ class TorchBackend(ArrayBackend):
     def add_(self, out, x):
         return out.add_(x)
 
-    def reduce(self, x, axis=None):
-        return self.torch.sum(x) if axis is None else self.torch.sum(x, dim=axis)
-
     def synchronize(self) -> None:
         if self._is_cuda:
             self.torch.cuda.synchronize()

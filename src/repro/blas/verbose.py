@@ -23,8 +23,8 @@ unified per-call event stream: the GEMM entry points emit each
 :class:`VerboseRecord` once through :func:`emit_call`, which feeds the
 verbose log (when logging is on) and the installed
 :class:`repro.telemetry.Telemetry` collector (when telemetry is on).
-The MKL-look-alike line format and its parser
-(:func:`repro.profiling.mklverbose.parse_verbose_line`) are unchanged.
+The MKL-look-alike line format (:func:`format_verbose_line`) is
+unchanged.
 """
 
 from __future__ import annotations

@@ -46,7 +46,6 @@ from repro.core.error_budget import (
     fit_drift,
     per_step_state_error,
 )
-from repro.core.convergence import mesh_convergence, orbital_convergence
 from repro.core.plots import ascii_plot, plot_deviation_series
 from repro.core.report import render_table, write_csv
 
@@ -78,8 +77,6 @@ __all__ = [
     "budget_table",
     "fit_drift",
     "per_step_state_error",
-    "mesh_convergence",
-    "orbital_convergence",
     "ascii_plot",
     "plot_deviation_series",
     "render_table",

@@ -43,10 +43,6 @@ from repro.dcmesh.current import current_density
 from repro.dcmesh.ions import IonDynamics
 from repro.dcmesh.shadow import TransferLedger
 from repro.dcmesh.maxwell import InducedField
-from repro.dcmesh.hopping import HopEvent, SurfaceHopper
-from repro.dcmesh.spectra import Spectrum, absorption_spectrum, power_spectrum
-from repro.dcmesh.domains import DCResult, DCSolver, Domain
-from repro.dcmesh.diagnostics import DiagnosticSample, DiagnosticsCollector
 from repro.dcmesh.propagate import LFDPropagator
 from repro.dcmesh.observables import QDRecord, format_qd_line
 from repro.dcmesh.simulation import Simulation, SimulationConfig, SimulationResult
@@ -76,16 +72,6 @@ __all__ = [
     "IonDynamics",
     "TransferLedger",
     "InducedField",
-    "HopEvent",
-    "SurfaceHopper",
-    "Spectrum",
-    "absorption_spectrum",
-    "power_spectrum",
-    "DCResult",
-    "DCSolver",
-    "Domain",
-    "DiagnosticSample",
-    "DiagnosticsCollector",
     "LFDPropagator",
     "QDRecord",
     "format_qd_line",

@@ -97,8 +97,11 @@ def remap_occ(
         p = gemm(psi_occ, psi0.columns(n_occ, n_orb), trans_a="C", alpha=dv)
         # Remapped occupations of the initial occupied manifold.
         q = gemm(psi0.columns(0, n_occ), psi_occ, trans_a="C", alpha=dv)
-        # Per-orbital excitation matrix (small).
-        w = gemm(p, p, trans_b="C")
+        # Per-orbital excitation matrix (small).  One plan serves both
+        # operands, so under OZAKI_INT8 P^H's slices are P's negated
+        # conjugate twin, not a second slicing.
+        p_plan = PreparedOperand(p, keep_bases=False)
+        w = gemm(p_plan, p_plan, trans_b="C")
 
     per_orbital = f_occ * np.real(np.diagonal(w))
     nexc = float(per_orbital.sum())

@@ -309,7 +309,6 @@ class Simulation:
         progress: Optional[Callable[[int, QDRecord], None]] = None,
         checkpoint_path=None,
         resume_from=None,
-        diagnostics=None,
         drift: Union[bool, DriftMonitor, None] = None,
         adaptive: Union[bool, "AdaptiveScheduler", None] = None,  # noqa: F821
         backend: Union[str, "ArrayBackend", None] = None,  # noqa: F821
@@ -324,10 +323,7 @@ class Simulation:
         block boundary (overwriting); ``resume_from`` (a
         :class:`~repro.dcmesh.io.checkpoint.Checkpoint` or a path)
         continues such a run — the resumed trajectory is bitwise
-        identical to the uninterrupted one.  ``diagnostics`` (a
-        :class:`~repro.dcmesh.diagnostics.DiagnosticsCollector`)
-        samples unitarity/orthonormality health per step without
-        touching the BLAS-call structure.
+        identical to the uninterrupted one.
 
         ``drift`` attaches a :class:`~repro.telemetry.drift.DriftMonitor`
         that samples nexc/javg/ekin every QD step: pass a configured
@@ -367,7 +363,6 @@ class Simulation:
                     progress=progress,
                     checkpoint_path=checkpoint_path,
                     resume_from=resume_from,
-                    diagnostics=diagnostics,
                     drift=drift,
                     adaptive=adaptive,
                 )
@@ -577,8 +572,6 @@ class Simulation:
                         records.append(rec0)
                         if dm is not None:
                             dm.observe(rec0)
-                        if diagnostics is not None:
-                            diagnostics.observe(0, psi, rec0.etot)
 
                     tm = _telemetry_active()
                     block_span = (
@@ -600,8 +593,6 @@ class Simulation:
                                     sched.on_step(step, dm)
                             if field is not None:
                                 field.step(rec.javg)
-                            if diagnostics is not None:
-                                diagnostics.observe(step, psi, rec.etot)
                             if progress is not None:
                                 progress(step, rec)
                     remaining -= block

@@ -24,19 +24,7 @@ from repro.gpu.roofline import RooflinePoint, roofline_time
 from repro.gpu.gemm_model import GemmCost, GemmModel
 from repro.gpu.timeline import KernelEvent, Timeline
 from repro.gpu.executor import Device
-from repro.gpu.counters import (
-    KernelClassCounters,
-    summarize_utilization,
-    utilization_table,
-)
 from repro.gpu.tracefile import timeline_to_trace_events, write_chrome_trace
-from repro.gpu.multistack import (
-    LinkSpec,
-    MultiStackModel,
-    NODE_FABRIC,
-    ScalingPoint,
-    XE_LINK,
-)
 
 __all__ = [
     "DeviceSpec",
@@ -50,14 +38,6 @@ __all__ = [
     "KernelEvent",
     "Timeline",
     "Device",
-    "KernelClassCounters",
-    "summarize_utilization",
-    "utilization_table",
     "timeline_to_trace_events",
     "write_chrome_trace",
-    "LinkSpec",
-    "MultiStackModel",
-    "NODE_FABRIC",
-    "ScalingPoint",
-    "XE_LINK",
 ]

@@ -1,34 +1,24 @@
-"""Profiling substrate: the paper's two measurement tools, re-created.
+"""Profiling substrate: analysis of the modelled device's calls.
 
-* :mod:`repro.profiling.unitrace` — the PTI-GPU *unitrace* view of the
-  modelled device timeline: "Total L0 Time" plus per-kernel breakdowns
-  (used for Fig. 3a).
-* :mod:`repro.profiling.mklverbose` — parsing and aggregation of the
-  ``MKL_VERBOSE``-style per-call log emitted by :mod:`repro.blas`
-  (used for Fig. 3b and Tables VI/VII).
+* :mod:`repro.profiling.roofline_report` — which roofline wall each
+  GEMM call hits on the modelled Max 1550 stack (Section V-C's
+  bandwidth explanation of the 3.91x-vs-16x gap).
+
+The paper's unitrace "Total L0 Time" is ``Device.total_l0_time()``
+over the :class:`repro.gpu.timeline.Timeline`, and its ``MKL_VERBOSE``
+log is :mod:`repro.blas.verbose`.
 """
 
-from repro.profiling.unitrace import UnitraceReport, unitrace_report
 from repro.profiling.roofline_report import (
     RooflineEntry,
     render_roofline,
     ridge_point,
     roofline_entries,
 )
-from repro.profiling.mklverbose import (
-    BlasCallSummary,
-    parse_verbose_text,
-    summarize_calls,
-)
 
 __all__ = [
-    "UnitraceReport",
-    "unitrace_report",
     "RooflineEntry",
     "render_roofline",
     "ridge_point",
     "roofline_entries",
-    "BlasCallSummary",
-    "parse_verbose_text",
-    "summarize_calls",
 ]

@@ -6,8 +6,6 @@ from repro.blas.modes import ComputeMode
 from repro.blas.verbose import mkl_verbose
 from repro.dcmesh.simulation import Simulation, SimulationConfig, estimate_device_bytes
 from repro.gpu import Device
-from repro.profiling.mklverbose import summarize_calls
-from repro.profiling.unitrace import unitrace_report
 
 
 @pytest.fixture(scope="module")
@@ -41,10 +39,10 @@ class TestUnitracePath:
     def test_report_structure(self, device_runs):
         _, out = device_runs
         _, device, _ = out[ComputeMode.STANDARD]
-        rep = unitrace_report(device.timeline)
-        assert {"blas", "app", "copy"} <= set(rep.by_kind)
-        assert 0 < rep.blas_fraction() < 1
-        assert "cgemm" in rep.by_kernel
+        by_kind = device.timeline.time_by_kind()
+        assert {"blas", "app", "copy"} <= set(by_kind)
+        assert 0 < by_kind["blas"] / device.total_l0_time() < 1
+        assert "cgemm" in device.timeline.time_by_name()
 
     def test_mode_changes_modelled_blas_time_only(self, device_runs):
         # The device model is mode-sensitive for BLAS kernels.  At this
@@ -79,8 +77,7 @@ class TestVerbosePath:
     def test_summaries_by_site(self, device_runs):
         _, out = device_runs
         _, _, log = out[ComputeMode.STANDARD]
-        summaries = summarize_calls(log)
-        sites = {s.site for s in summaries}
+        sites = {r.site for r in log}
         assert sites == {"nlp_prop", "calc_energy", "remap_occ"}
 
     def test_mode_tagged_in_log(self, device_runs):

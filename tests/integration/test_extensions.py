@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.blas.modes import ComputeMode
-from repro.dcmesh.hopping import SurfaceHopper
-from repro.dcmesh.occupation import remap_occ
 from repro.dcmesh.simulation import Simulation, SimulationConfig
 
 
@@ -52,23 +50,7 @@ class TestInducedField:
 
 
 class TestSurfaceHoppingWorkflow:
-    def test_hopper_driven_by_simulation_output(self, base_cfg):
-        """The DCMESH composition: remap_occ feeds the hopper."""
-        cfg = SimulationConfig.small_test(**{**base_cfg, "n_qd_steps": 30, "nscf": 30})
-        sim = Simulation(cfg)
-        ground = sim.setup()
-        hopper = SurfaceHopper(n_occupied=cfg.n_occupied, seed=11)
-
-        # Drive the hopper with the per-orbital excitation trajectory.
-        psi0 = ground.orbitals.psi.astype(np.complex64)
-        result = sim.run(mode="STANDARD")
-        psi_t = result.final_psi
-        remap = remap_occ(psi_t, psi0, ground.orbitals.occupations, sim.mesh)
-        for step in range(5):
-            hopper.attempt(step, remap.per_orbital_exc * (step / 4.0))
-        # Deterministic and bounded.
-        assert hopper.surface == hopper.n_hops
-        assert all(0 <= e.orbital < cfg.n_occupied for e in hopper.events)
+    """A full run's final-state accessors."""
 
     def test_final_gram_error_accessible(self, base_cfg):
         cfg = SimulationConfig.small_test(**base_cfg)

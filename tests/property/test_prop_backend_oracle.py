@@ -32,7 +32,6 @@ from repro.blas.backend import (
     use_backend,
 )
 from repro.blas.gemm import gemm
-from repro.blas.level1 import asum, nrm2
 from repro.blas.modes import ComputeMode, compute_mode
 
 pytestmark = pytest.mark.usefixtures("clean_mode_env")
@@ -133,17 +132,6 @@ class TestBitwiseClaim:
             with use_backend(ShadowBackend()):
                 got = gemm(a, b)
         assert np.array_equal(got, ref, equal_nan=True)
-
-    @given(seed=seeds, n=st.integers(min_value=1, max_value=256))
-    @settings(max_examples=15, deadline=None)
-    def test_shadow_level1_bitwise(self, seed, n):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(n).astype(np.float32)
-        ref_nrm2, ref_asum = nrm2(x), asum(x)
-        with use_backend(ShadowBackend()):
-            got_nrm2, got_asum = nrm2(x), asum(x)
-        assert got_nrm2 == ref_nrm2
-        assert got_asum == ref_asum
 
 
 # ----------------------------------------------------------------------

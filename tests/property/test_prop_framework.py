@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.blas.modes import ComputeMode
 from repro.blas.policy import SitePolicy
 from repro.core.schedule import qd_step_schedule
-from repro.dcmesh.hopping import SurfaceHopper
 from repro.dcmesh.io.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from repro.types import Precision
 
@@ -32,36 +31,6 @@ class TestScheduleProperties:
         assert all(g.m > 0 and g.n > 0 and g.k > 0 for g in gemms)
         remap = [g for g in gemms if g.site == "remap_occ"][0]
         assert (remap.m, remap.n, remap.k) == (n_occ, n_orb - n_occ, n_grid)
-
-
-class TestHopperProperties:
-    @given(seeds, st.lists(
-        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=3, max_size=3),
-        min_size=1, max_size=20,
-    ))
-    @settings(max_examples=40)
-    def test_probabilities_always_in_unit_interval(self, seed, trajectory):
-        h = SurfaceHopper(n_occupied=3, seed=seed)
-        for step, p in enumerate(trajectory):
-            probs = h.probabilities(np.array(p))
-            assert np.all(probs >= 0) and np.all(probs <= 1)
-            h.attempt(step, np.array(p))
-
-    @given(seeds, st.lists(
-        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=2),
-        min_size=1, max_size=12,
-    ))
-    @settings(max_examples=30)
-    def test_deterministic_per_seed(self, seed, trajectory):
-        def run():
-            h = SurfaceHopper(n_occupied=2, seed=seed)
-            events = []
-            for step, p in enumerate(trajectory):
-                e = h.attempt(step, np.array(p))
-                events.append(None if e is None else (e.step, e.orbital))
-            return events, h.surface
-
-        assert run() == run()
 
 
 class TestCheckpointProperties:

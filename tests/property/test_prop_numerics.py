@@ -1,4 +1,4 @@
-"""Property-based tests: numerics-layer extensions (stencil, batch, maxwell)."""
+"""Property-based tests: numerics-layer extensions (batch, maxwell)."""
 
 import numpy as np
 import pytest
@@ -8,33 +8,9 @@ from repro.blas.batch import gemm_batch
 from repro.blas.gemm import gemm
 from repro.blas.modes import ComputeMode
 from repro.dcmesh.maxwell import InducedField
-from repro.dcmesh.stencil import STENCIL_COEFFICIENTS, laplacian_eigenvalue_1d
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 modes = st.sampled_from(list(ComputeMode))
-
-
-class TestStencilProperties:
-    @given(
-        st.sampled_from(sorted(STENCIL_COEFFICIENTS)),
-        st.floats(min_value=0.05, max_value=2.0),
-        st.floats(min_value=0.01, max_value=0.3),
-    )
-    def test_eigenvalue_negative_and_bounded(self, order, k, h):
-        val = laplacian_eigenvalue_1d(k, h, order)
-        # FD eigenvalues of -d2/dx2 are non-positive and never
-        # overshoot the exact -k^2 by more than it is worth at coarse h.
-        assert val <= 1e-12
-        assert val >= -4.0 * sum(abs(c) for c in STENCIL_COEFFICIENTS[order]) / h**2
-
-    @given(
-        st.sampled_from(sorted(STENCIL_COEFFICIENTS)),
-        st.floats(min_value=0.1, max_value=1.5),
-    )
-    def test_refinement_improves(self, order, k):
-        coarse = abs(laplacian_eigenvalue_1d(k, 0.2, order) + k * k)
-        fine = abs(laplacian_eigenvalue_1d(k, 0.05, order) + k * k)
-        assert fine <= coarse + 1e-12
 
 
 class TestBatchProperties:

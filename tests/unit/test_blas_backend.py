@@ -113,7 +113,6 @@ class TestNumpyBackendOps:
         assert np.array_equal(acc, x[0] + x[1])
         cp = NUMPY_BACKEND.copy(x)
         assert cp is not x and np.array_equal(cp, x)
-        assert NUMPY_BACKEND.reduce(x) == np.sum(x)
 
     def test_empty_cast_nbytes_result_dtype(self):
         buf = NUMPY_BACKEND.empty((2, 3), np.float32)
@@ -451,9 +450,6 @@ class FakeDeviceBackend(ArrayBackend):
     def add_(self, out, x):
         np.add(out.arr, x.arr, out=out.arr)
         return out
-
-    def reduce(self, x, axis=None):
-        return np.sum(x.arr, axis=axis)
 
 
 class TestFusedBatchedForeignDtype:

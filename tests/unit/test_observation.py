@@ -116,9 +116,10 @@ class TestObserveState:
     def test_warm_ozaki_observation_slices_psi_once(self, small, monkeypatch):
         # calc_energy multiplies Psi(t)^H (operand a) and Psi(t) (operand
         # b): both slice Psi(t)'s columns, the second is the first's
-        # conjugate twin, so Psi(t) is sliced once.  The other four
-        # slicings are T_A Psi, S, and P and P^H (two throwaway plans);
-        # Psi(0), H_nl and the blocks' forms are cached or sliced.
+        # conjugate twin, so Psi(t) is sliced once.  The other three
+        # slicings are T_A Psi, S, and P (remap_occ's one plan of P, whose
+        # P^H is its twin); Psi(0), H_nl and the blocks' forms are cached
+        # or sliced.
         import repro.blas.plan as plan_mod
 
         nlp = small.propagator()
@@ -134,7 +135,7 @@ class TestObserveState:
             small.observe(nlp, h_plan)
             monkeypatch.setattr(plan_mod, "ozaki_slice_terms", counted)
             small.observe(nlp, h_plan)
-        assert len(calls) == 5
+        assert len(calls) == 4
 
 
 #: Peak traced bytes, in multiples of Psi's, of one observation and of

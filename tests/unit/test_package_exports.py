@@ -16,7 +16,6 @@ PACKAGES = [
     "repro.dcmesh.io",
     "repro.core",
     "repro.profiling",
-    "repro.qmc",
     "repro.experiments",
 ]
 
@@ -29,7 +28,6 @@ MODULES = [
     "repro.blas.batch",
     "repro.blas.split",
     "repro.blas.complex3m",
-    "repro.blas.level1",
     "repro.blas.verbose",
     "repro.blas.env",
     "repro.blas.policy",
@@ -38,10 +36,7 @@ MODULES = [
     "repro.gpu.gemm_model",
     "repro.gpu.timeline",
     "repro.gpu.executor",
-    "repro.gpu.multistack",
     "repro.gpu.tracefile",
-    "repro.gpu.counters",
-    "repro.dcmesh.diagnostics",
     "repro.dcmesh.constants",
     "repro.dcmesh.mesh",
     "repro.dcmesh.material",
@@ -60,10 +55,6 @@ MODULES = [
     "repro.dcmesh.simulation",
     "repro.dcmesh.observables",
     "repro.dcmesh.maxwell",
-    "repro.dcmesh.hopping",
-    "repro.dcmesh.spectra",
-    "repro.dcmesh.domains",
-    "repro.dcmesh.stencil",
     "repro.dcmesh.cli",
     "repro.dcmesh.io.checkpoint",
     "repro.core.theoretical",
@@ -75,15 +66,9 @@ MODULES = [
     "repro.core.error_model",
     "repro.core.error_budget",
     "repro.core.ablation",
-    "repro.core.convergence",
     "repro.core.plots",
     "repro.core.report",
-    "repro.profiling.unitrace",
-    "repro.profiling.mklverbose",
     "repro.profiling.roofline_report",
-    "repro.qmc.lattice",
-    "repro.qmc.projection",
-    "repro.qmc.study",
     "repro.experiments.registry",
     "repro.experiments.runner",
     "repro.experiments.report",
