@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast lint ci bench bench-split bench-telemetry bench-adaptive bench-backends bench-newmodes bench-distrib distrib-smoke qdbench-smoke repro report claims claim-coverage examples clean
+.PHONY: install test test-fast lint ci bench bench-split bench-telemetry bench-adaptive bench-backends bench-newmodes qdbench-smoke repro report claims claim-coverage examples clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -49,15 +49,6 @@ bench-backends:
 bench-newmodes:
 	$(PYTHON) -m pytest benchmarks/test_ozaki_emufp64_perf.py -q -p no:cacheprovider
 	$(PYTHON) scripts/check_bench_regression.py --newmodes --slack 0.25
-
-bench-distrib:
-	$(PYTHON) -m pytest benchmarks/test_distrib_bench.py -q -p no:cacheprovider
-
-# Same flow as the CI distrib-smoke job: submit a tiny 2-worker grid,
-# SIGKILL one worker mid-run, resume, and verify the merge recomputed
-# nothing.
-distrib-smoke:
-	$(PYTHON) scripts/distrib_smoke.py
 
 # Same gate as the CI qdbench-smoke job: every qdbench workload for 5 s,
 # untraced and traced, must exit 0 with no failed operation.

@@ -85,18 +85,22 @@ def update(**fields) -> ExecutionContext:
 
 
 def snapshot() -> dict:
-    """The caller's effective configuration as JSON-safe values.
+    """The caller's configuration as plain values, each at its own rank.
 
+    Scoped fields come from the execution context.  Each process-wide
+    setting is the value its setter installed (``None`` when it defers
+    to the environment), not the effective value: a worker process
+    inherits the environment, so it then resolves every setting as its
+    caller would, also after it sets ``MKL_BLAS_COMPUTE_MODE`` itself.
     Sinks in the caller's memory (device, verbose log, drift monitor,
     telemetry collector) are left out: another process cannot write
     into them.
     """
+    from repro.blas import modes
     from repro.blas.backend import active_backend
     from repro.blas.gemm import finite_checks_enabled
-    from repro.blas.modes import get_compute_mode, get_ozaki_slices
-    from repro.core.scheduler import adaptive_enabled
-    from repro.telemetry.drift import drift_enabled
-    from repro.telemetry.registry import MAX_EVENTS_ENV, telemetry_enabled
+    from repro.core import scheduler
+    from repro.telemetry import drift
 
     ctx = _CONTEXT.get()
     policy = None
@@ -106,61 +110,51 @@ def snapshot() -> dict:
             "sites": {s: m.env_value for s, m in ctx.policy.sites.items()},
             "default": None if default is None else default.env_value,
         }
-    snap = {
-        "mode": get_compute_mode().env_value,
+    process_mode = modes._global_mode
+    return {
+        "mode": None if ctx.mode is None else ctx.mode.env_value,
+        "process_mode": None if process_mode is None else process_mode.env_value,
         "policy": policy,
         "site": ctx.site,
         "backend": active_backend().cache_key,
-        "ozaki_slices": get_ozaki_slices(),
+        "ozaki_slices": modes._ozaki_slices_override,
         "check_finite": finite_checks_enabled(),
-        "telemetry": telemetry_enabled(),
-        "drift": drift_enabled(),
-        "adaptive": adaptive_enabled(),
+        "drift": drift._enabled_override,
+        "adaptive": scheduler._enabled_override,
     }
-    max_events = os.environ.get(MAX_EVENTS_ENV, "").strip()
-    if max_events:
-        snap["telemetry_max_events"] = max_events
-    return snap
 
 
 def restore(snap: dict) -> None:
-    """Apply a :func:`snapshot` in this (fresh) process.
+    """Apply a :func:`snapshot` in this worker process.
 
-    A backend this host cannot run degrades to NumPy with a warning,
-    like ``REPRO_BACKEND``.  The telemetry switch is not applied: the
-    caller decides where worker telemetry goes.  An empty snapshot
-    applies nothing.
+    A backend this process cannot run degrades to NumPy with a warning,
+    like ``REPRO_BACKEND``.  An empty snapshot applies nothing.
     """
     if not snap:
         return
     from repro.blas.backend import backend_or_numpy
     from repro.blas.gemm import check_finite
-    from repro.blas.modes import ComputeMode, set_ozaki_slices
+    from repro.blas.modes import ComputeMode, set_compute_mode, set_ozaki_slices
     from repro.blas.policy import SitePolicy
     from repro.core.scheduler import set_adaptive_enabled
     from repro.telemetry.drift import set_drift_enabled
-    from repro.telemetry.registry import MAX_EVENTS_ENV
 
-    backend = snap.get("backend")
-    policy = snap.get("policy")
+    mode, policy = snap["mode"], snap["policy"]
+    if policy is not None:
+        policy = SitePolicy(policy["sites"], policy["default"])
     _CONTEXT.set(
         ExecutionContext(
-            mode=ComputeMode.parse(snap["mode"]) if snap.get("mode") else None,
-            policy=SitePolicy(policy["sites"], policy["default"]) if policy else None,
-            backend=backend_or_numpy(backend, "snapshot backend") if backend else None,
-            site=snap.get("site", ""),
+            mode=None if mode is None else ComputeMode.parse(mode),
+            policy=policy,
+            backend=backend_or_numpy(snap["backend"], "snapshot backend"),
+            site=snap["site"],
         )
     )
-    if "ozaki_slices" in snap:
-        set_ozaki_slices(snap["ozaki_slices"])
-    if "check_finite" in snap:
-        check_finite(snap["check_finite"])
-    if "drift" in snap:
-        set_drift_enabled(snap["drift"])
-    if "adaptive" in snap:
-        set_adaptive_enabled(snap["adaptive"])
-    if "telemetry_max_events" in snap:
-        os.environ[MAX_EVENTS_ENV] = str(snap["telemetry_max_events"])
+    set_compute_mode(snap["process_mode"])
+    set_ozaki_slices(snap["ozaki_slices"])
+    check_finite(snap["check_finite"])
+    set_drift_enabled(snap["drift"])
+    set_adaptive_enabled(snap["adaptive"])
 
 
 def _restored_call(snap: dict, fn: Callable[[Any], Any], item: Any) -> Any:

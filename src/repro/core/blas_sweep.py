@@ -134,11 +134,7 @@ class BlasSweep:
 
     def point(self, mode: ComputeMode, n_orb: int) -> SweepPoint:
         """One Fig. 3b point on the device model: the remap_occ shape at
-        ``n_orb`` orbitals, timed under STANDARD and under ``mode``.
-
-        :meth:`sweep` and the distributed engine's sweep cells both
-        evaluate their points here.
-        """
+        ``n_orb`` orbitals, timed under STANDARD and under ``mode``."""
         m, n, k = remap_gemm_shape(n_orb)
         fp32 = self.model.seconds(self.routine, m, n, k, ComputeMode.STANDARD)
         alt = self.model.seconds(self.routine, m, n, k, mode)
@@ -178,44 +174,6 @@ class BlasSweep:
             for i in range(len(list(norbs)))
             for mode in modes
         ]
-
-    def sweep_distributed(
-        self,
-        norbs: Sequence[int] = FIG3B_NORBS,
-        modes: Iterable[ComputeMode] = SWEEP_MODES,
-        n_workers: int = 2,
-        queue_dir=None,
-        inline: bool = False,
-    ) -> List[SweepPoint]:
-        """:meth:`sweep` evaluated by the :mod:`repro.distrib` engine.
-
-        The (mode, N_orb) grid becomes one queue cell per point,
-        sharded over ``n_workers`` local worker processes (or drained
-        in-process with ``inline=True``); the merged points are
-        bitwise-identical to the serial :meth:`sweep` — same model
-        evaluation per cell, floats round-tripped exactly through the
-        queue's JSON records, reassembled in the same n_orb-major
-        order (the ``distrib-serial-equivalence`` claim).  Pass a
-        shared ``queue_dir`` to checkpoint the sweep or to let workers
-        on other hosts join (``python -m repro.distrib.worker``).
-        """
-        if self.spec is not MAX_1550_STACK:
-            raise ValueError(
-                "sweep_distributed evaluates the default Max 1550 device "
-                "model in its workers; custom DeviceSpecs must use sweep()"
-            )
-        from repro.distrib import SweepSpec, submit
-
-        spec = SweepSpec(
-            kind="sweep",
-            modes=tuple(m.env_value for m in modes),
-            norbs=tuple(int(n) for n in norbs),
-            params={"routine": self.routine},
-        )
-        handle = submit(
-            spec, n_workers=n_workers, queue_dir=queue_dir, inline=inline
-        )
-        return handle.result().sweep_points()
 
     def table6(
         self,

@@ -232,17 +232,6 @@ def _check_emulated_fp64_class() -> bool:
     return bool((np.abs(out - ref) <= envelope * (32 * 64 * 2.0**-53)).all())
 
 
-def _check_distrib_serial_equivalence() -> bool:
-    from repro.core.blas_sweep import BlasSweep
-
-    norbs = (256, 1024)
-    serial = BlasSweep().sweep(norbs=norbs)
-    distributed = BlasSweep().sweep_distributed(
-        norbs=norbs, n_workers=2, inline=True
-    )
-    return distributed == serial
-
-
 def _check_newmode_error_ordering() -> bool:
     from repro.blas.modes import ComputeMode
     from repro.core.error_model import mode_effective_error
@@ -432,16 +421,6 @@ CLAIMS: List[Claim] = [
         "tests/unit/test_core_scheduler.py::TestLadder / "
         "tests/unit/test_core_error_model.py",
         _check_newmode_error_ordering,
-    ),
-    Claim(
-        "distrib-serial-equivalence",
-        "A sweep sharded across worker processes by the distributed "
-        "engine merges into artifacts bitwise identical to the serial run",
-        "extension / docs/DISTRIBUTED.md",
-        "repro.distrib / repro.core.blas_sweep",
-        "tests/integration/test_distrib_engine.py::TestSerialEquivalence / "
-        "tests/unit/test_distrib_queue.py::TestResultShards",
-        _check_distrib_serial_equivalence,
     ),
 ]
 

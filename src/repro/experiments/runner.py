@@ -47,15 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         "each passes its compute mode explicitly, so the fan-out is safe)",
     )
     parser.add_argument(
-        "--distrib", type=int, default=0, metavar="N",
-        help="run the experiments through the repro.distrib work-queue "
-        "engine on N local worker processes (checkpointable, "
-        "work-stealing; see docs/DISTRIBUTED.md).  Unlike --jobs "
-        "threads, workers are separate processes that restore a "
-        "snapshot of the ambient backend/mode/telemetry settings; "
-        "outputs are still printed in deterministic serial order",
-    )
-    parser.add_argument(
         "--telemetry", default=None, metavar="DIR",
         help="collect telemetry for the run and export a JSONL event "
         "trace, a Chrome/Perfetto trace, a text summary and a "
@@ -159,37 +150,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _run(names: List[str], args: argparse.Namespace) -> None:
     """Run ``names`` and print their outputs in the serial order."""
-    if args.distrib > 0:
-        # Work-queue fan-out over worker *processes*: the driver stores
-        # the caller's execution snapshot in the queue manifest and
-        # every worker restores it.  Cell results merge back here —
-        # including per-cell telemetry, so one run_report.md covers the
-        # whole pool.
-        from repro.distrib import SweepSpec, submit
-
-        spec = SweepSpec(
-            kind="experiment",
-            experiments=tuple(names),
-            params={"fast": not args.full, "output_dir": args.output},
-        )
-        merged = submit(spec, n_workers=args.distrib).result()
-        by_name = {
-            payload["experiment"]: payload["text"]
-            for payload in merged.cells.values()
-        }
-        texts = [by_name[name] for name in names]
-    else:
-        # Independent artifacts fan out over threads (NumPy releases the
-        # GIL in the GEMMs); each worker runs in a copy of this context,
-        # so --backend applies to it.
-        results = fan_out(
-            functools.partial(run_experiment, fast=not args.full, output_dir=args.output),
-            names,
-            max_workers=args.jobs,
-        )
-        texts = [result["text"] for result in results]
-    for text in texts:
-        print(text)
+    # Independent artifacts fan out over threads (NumPy releases the
+    # GIL in the GEMMs); each worker runs in a copy of this context, so
+    # --backend applies to it.
+    results = fan_out(
+        functools.partial(run_experiment, fast=not args.full, output_dir=args.output),
+        names,
+        max_workers=args.jobs,
+    )
+    for result in results:
+        print(result["text"])
         print()
 
 

@@ -4,7 +4,7 @@ The paper measures end-to-end GPU time with unitrace's "Total L0 Time"
 (GPU-side Level Zero timers) and per-kernel breakdowns.  The modelled
 device appends a :class:`KernelEvent` per launched kernel; the
 timeline can then answer the same queries the authors put to unitrace:
-total device time, per-kernel-name aggregation, per-site aggregation.
+total device time and per-kernel-name aggregation.
 """
 
 from __future__ import annotations
@@ -94,16 +94,3 @@ class Timeline:
         for e in self._events:
             agg[e.kind or "?"] += e.duration
         return dict(agg)
-
-    def time_by_site(self) -> Dict[str, float]:
-        """Aggregate device time per application call site."""
-        agg: Dict[str, float] = defaultdict(float)
-        for e in self._events:
-            agg[e.site or "?"] += e.duration
-        return dict(agg)
-
-    def window(self, t0: float, t1: float) -> List[KernelEvent]:
-        """Events overlapping the clock interval ``[t0, t1)``."""
-        if t1 < t0:
-            raise ValueError(f"empty window: [{t0}, {t1})")
-        return [e for e in self._events if e.start < t1 and e.end > t0]

@@ -324,68 +324,6 @@ def _sched_section(events: List[dict], gauges: Dict[str, float]) -> List[str]:
     return lines
 
 
-def _distrib_section(counters: Dict[str, float]) -> List[str]:
-    """Per-shard attribution from the ``distrib.*`` counters.
-
-    One row per worker shard of a distributed run (cells won, wall
-    seconds spent, successful steals, expired-lease takeovers), plus
-    the job-wide duplicate/corrupt-record accounting.  Rendered only
-    when a merge contributed ``distrib.*`` counters — serial runs get
-    no empty section (returns ``[]`` like :func:`_sched_section`).
-    """
-    workers: Dict[str, Dict[str, float]] = {}
-    totals: Dict[str, float] = {}
-    for flat, value in counters.items():
-        name, labels = parse_counter_name(flat)
-        if not name.startswith("distrib."):
-            continue
-        metric = name[len("distrib."):]
-        worker = dict(labels).get("worker")
-        if worker is None:
-            totals[metric] = totals.get(metric, 0.0) + value
-        else:
-            workers.setdefault(worker, {})[metric] = value
-    if not workers and not totals:
-        return []
-    lines: List[str] = ["## Distributed shards", ""]
-    if workers:
-        total_cells = sum(m.get("cells", 0.0) for m in workers.values())
-        rows = []
-        for worker, m in sorted(workers.items()):
-            cells = m.get("cells", 0.0)
-            share = f"{100.0 * cells / total_cells:.1f}%" if total_cells else "-"
-            rows.append(
-                [
-                    f"`{worker}`",
-                    _fmt(cells),
-                    share,
-                    f"{m.get('worker_seconds', 0.0):.4g}",
-                    _fmt(m.get("steals", 0.0)),
-                    _fmt(m.get("lease_expired", 0.0)),
-                ]
-            )
-        lines.extend(
-            _md_table(
-                ["worker", "cells won", "share", "worker s", "steals",
-                 "lease takeovers"],
-                rows,
-            )
-        )
-        lines.append("")
-    duplicates = totals.get("duplicates", 0.0)
-    corrupt = totals.get("corrupt_records", 0.0)
-    if duplicates or corrupt:
-        lines.append(
-            f"{_fmt(duplicates)} duplicate execution(s) discarded at merge "
-            f"(first completion wins), {_fmt(corrupt)} corrupt record(s) "
-            "dropped from the JSONL shards."
-        )
-    else:
-        lines.append("No duplicate executions or corrupt shard records.")
-    lines.append("")
-    return lines
-
-
 def _span_table(histograms: Dict[str, dict]) -> List[str]:
     rows = []
     for name, h in sorted(histograms.items()):
@@ -472,8 +410,6 @@ def render_run_report(data: dict) -> str:
     lines.append("")
     lines.extend(_backend_table(counters))
     lines.append("")
-
-    lines.extend(_distrib_section(counters))
 
     lines.append("## Phase timings")
     lines.append("")

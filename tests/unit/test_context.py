@@ -23,16 +23,29 @@ from hypothesis import strategies as st
 from repro import context
 from repro.blas import backend as backend_mod
 from repro.blas.backend import NumpyBackend, get_backend, register_backend, use_backend
+from repro.blas.env import scoped_env
 from repro.blas.gemm import call_site, sgemm, use_device
-from repro.blas.modes import ComputeMode, compute_mode, set_ozaki_slices
+from repro.blas.modes import (
+    MKL_COMPUTE_MODE_ENV,
+    OZAKI_SLICES_ENV,
+    ComputeMode,
+    compute_mode,
+    get_compute_mode,
+    get_ozaki_slices,
+    set_compute_mode,
+    set_ozaki_slices,
+)
 from repro.blas.policy import SitePolicy
 from repro.blas.verbose import mkl_verbose
 from repro.context import current, fan_out, snapshot
 from repro.core.blas_sweep import BlasSweep
-from repro.core.scheduler import set_adaptive_enabled
+from repro.core.scheduler import ADAPTIVE_ENV, adaptive_enabled, set_adaptive_enabled
+from repro.experiments.claims import _check_env_var_no_source_change
 from repro.gpu import Device
 from repro.telemetry.drift import (
+    DRIFT_ENV,
     active_drift_monitor,
+    drift_enabled,
     drift_monitoring,
     set_drift_enabled,
 )
@@ -151,6 +164,30 @@ def _snapshot_of(_):
     return snapshot()
 
 
+def _resolved_mode(_):
+    return get_compute_mode().env_value
+
+
+_WORKER_ENV = {
+    MKL_COMPUTE_MODE_ENV: "FLOAT_TO_BF16",
+    OZAKI_SLICES_ENV: "5",
+    DRIFT_ENV: "1",
+    ADAPTIVE_ENV: "1",
+}
+
+
+def _resolved_under_the_variables(_):
+    """Set the variables here, as the paper's runs do, and resolve."""
+    with scoped_env(_WORKER_ENV):
+        resolved = (
+            get_compute_mode().env_value,
+            get_ozaki_slices(),
+            drift_enabled(),
+            adaptive_enabled(),
+        )
+    return resolved, _check_env_var_no_source_change()
+
+
 class TestProcessFanOut:
     def test_workers_restore_the_callers_snapshot(self, shadow):
         policy = SitePolicy({"remap_occ": "FLOAT_TO_BF16"}, default="COMPLEX_3M")
@@ -176,22 +213,45 @@ class TestProcessFanOut:
             ):
                 assert snap[key] == caller[key], key
 
+    def test_workers_resolve_the_variables_like_their_caller(self):
+        """A process worker that sets ``MKL_BLAS_COMPUTE_MODE`` (or the
+        slice, drift or adaptive variable) runs under it, as its caller
+        does: the restored snapshot must not install the caller's
+        effective values at a rank above the variables."""
+        expected = (("FLOAT_TO_BF16", 5, True, True), True)
+        assert _resolved_under_the_variables(0) == expected
+        seen = fan_out(
+            _resolved_under_the_variables, range(2), max_workers=2, processes=True
+        )
+        assert seen == [expected] * 2
+
+    def test_workers_inherit_the_variable_below_the_process_mode(self):
+        with scoped_env({MKL_COMPUTE_MODE_ENV: "FLOAT_TO_TF32"}):
+            threads = fan_out(_resolved_mode, range(2), max_workers=2)
+            processes = fan_out(_resolved_mode, range(2), max_workers=2, processes=True)
+            set_compute_mode("COMPLEX_3M")
+            try:
+                ranked = fan_out(_resolved_mode, range(2), max_workers=2, processes=True)
+            finally:
+                set_compute_mode(None)
+        assert threads == processes == ["FLOAT_TO_TF32"] * 2
+        assert ranked == ["COMPLEX_3M"] * 2
+
     def test_spawned_workers_keep_the_finite_check_switch(self, tmp_path):
         """Under ``spawn`` nothing is inherited: the workers must get the
         switch from the caller's snapshot (``fork`` would copy it and
-        hide a missing field), and the distrib probe cell reports it."""
+        hide a missing field)."""
         script = tmp_path / "spawn_finite.py"
         script.write_text(
             "import multiprocessing\n"
-            "from repro.blas.gemm import check_finite\n"
+            "from repro.blas.gemm import check_finite, finite_checks_enabled\n"
             "from repro.context import fan_out\n"
-            "from repro.distrib.cells import Cell, run_cell\n"
+            "def probe(_):\n"
+            "    return finite_checks_enabled()\n"
             "if __name__ == '__main__':\n"
             "    multiprocessing.set_start_method('spawn')\n"
             "    check_finite(True)\n"
-            "    cells = [Cell(kind='probe', seed=i) for i in range(2)]\n"
-            "    seen = fan_out(run_cell, cells, max_workers=2, processes=True)\n"
-            "    print([s.get('check_finite') for s in seen])\n"
+            "    print(fan_out(probe, range(2), max_workers=2, processes=True))\n"
         )
         env = dict(os.environ)
         src = str(SRC.parent)
@@ -261,7 +321,8 @@ class TestOneMechanism:
         assert self._offenders(r"threading\.local\(", {"blas/workspace.py"}) == []
 
     def test_only_the_context_module_creates_pools(self):
-        assert (
-            self._offenders(r"ThreadPoolExecutor|ProcessPoolExecutor", {"context.py"})
-            == []
+        pattern = (
+            r"ThreadPoolExecutor|ProcessPoolExecutor|concurrent\.futures"
+            r"|multiprocessing|subprocess|threading\.Thread\("
         )
+        assert self._offenders(pattern, {"context.py"}) == []

@@ -27,24 +27,11 @@ class TestTimeline:
         tl.append("fft", 0.5, kind="app", site="nlp_prop")
         assert tl.time_by_name() == {"gemm": 3.0, "fft": 0.5}
         assert tl.time_by_kind() == {"blas": 3.0, "app": 0.5}
-        assert tl.time_by_site()["nlp_prop"] == pytest.approx(1.5)
 
     def test_unlabelled_kind_bucketed(self):
         tl = Timeline()
         tl.append("x", 1.0)
         assert tl.time_by_kind() == {"?": 1.0}
-
-    def test_window_query(self):
-        tl = Timeline()
-        tl.append("a", 1.0)
-        tl.append("b", 1.0)
-        tl.append("c", 1.0)
-        names = [e.name for e in tl.window(0.5, 1.5)]
-        assert names == ["a", "b"]
-
-    def test_window_invalid(self):
-        with pytest.raises(ValueError):
-            Timeline().window(2.0, 1.0)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
