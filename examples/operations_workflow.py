@@ -6,7 +6,8 @@ machinery a production campaign needs, on the laptop-scale system:
 
 1. run with a checkpoint written at every SCF block boundary,
 2. kill/resume — the continuation is bitwise identical,
-3. export the modelled device timeline as a Chrome trace.
+3. trace both under a telemetry collector: its Chrome trace shows the
+   measured spans and, as a second process, the modelled device.
 
 Run:  python examples/operations_workflow.py [workdir]
 """
@@ -16,7 +17,8 @@ from pathlib import Path
 
 from repro.dcmesh import Simulation, SimulationConfig
 from repro.dcmesh.io import load_checkpoint
-from repro.gpu import Device, write_chrome_trace
+from repro.gpu import Device
+from repro.telemetry import telemetry
 
 
 def main(workdir: str = "ops_workdir") -> None:
@@ -27,19 +29,18 @@ def main(workdir: str = "ops_workdir") -> None:
     sim = Simulation(cfg, device=device)
     sim.setup()
 
-    # 1-2: checkpointed run + bitwise resume.
-    ckpt_path = work / "state.npz"
-    full = sim.run(mode="FLOAT_TO_BF16", checkpoint_path=ckpt_path)
-    ckpt = load_checkpoint(ckpt_path)
-    print(f"checkpoint written at QD step {ckpt.step} -> {ckpt_path}")
-    resumed = sim.run(mode="FLOAT_TO_BF16", resume_from=ckpt)
+    # 1-3: checkpointed run + bitwise resume, traced.
+    with telemetry(out_dir=work):
+        ckpt_path = work / "state.npz"
+        full = sim.run(mode="FLOAT_TO_BF16", checkpoint_path=ckpt_path)
+        ckpt = load_checkpoint(ckpt_path)
+        print(f"checkpoint written at QD step {ckpt.step} -> {ckpt_path}")
+        resumed = sim.run(mode="FLOAT_TO_BF16", resume_from=ckpt)
     tail = full.records[-len(resumed.records):]
     identical = all(a == b for a, b in zip(resumed.records, tail))
     print(f"resumed run bitwise identical to the uninterrupted tail: {identical}")
 
-    # 3: Chrome trace of the modelled device.
-    trace = work / "device_trace.json"
-    write_chrome_trace(trace, device.timeline)
+    trace = work / "trace.chrome.json"
     print(
         f"\n{len(device.timeline)} modelled kernels "
         f"({device.total_l0_time():.3f} s of modelled device time) -> {trace}"

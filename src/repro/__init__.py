@@ -45,7 +45,7 @@ import importlib
 
 from repro._version import __version__
 
-_SUBPACKAGES = ("blas", "gpu", "dcmesh", "core", "profiling", "experiments")
+_SUBPACKAGES = ("blas", "gpu", "dcmesh", "core", "experiments")
 
 __all__ = ["__version__", *_SUBPACKAGES]
 

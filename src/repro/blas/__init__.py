@@ -60,7 +60,6 @@ from repro.blas.gemm import (
     finite_checks,
     finite_checks_enabled,
 )
-from repro.blas.batch import gemm_batch
 from repro.blas.complex3m import gemm_3m
 from repro.blas.plan import (
     PreparedOperand,
@@ -102,7 +101,6 @@ __all__ = [
     "split_bf16",
     "split_tf32",
     "gemm",
-    "gemm_batch",
     "sgemm",
     "dgemm",
     "cgemm",

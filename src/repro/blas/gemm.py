@@ -32,7 +32,7 @@ from repro.blas.modes import ComputeMode, Lowering, _resolve
 from repro.blas.plan import OrientedOperand, PreparedOperand, operand_handle
 from repro.blas.verbose import VerboseRecord, _emit, _log_for
 from repro.blas.workspace import split_gemm_fused
-from repro.telemetry.provenance import register_call_site, site_scope
+from repro.telemetry.provenance import call_site_id, site_scope
 from repro.telemetry.registry import active as _telemetry_active
 from repro.types import ROUTINES
 
@@ -226,36 +226,24 @@ def gemm(
     -------
     numpy.ndarray
         The ``m x n`` result in the promoted storage dtype.
+
+    Each call makes one execution-context read, one mode resolution and
+    lowering, one device booking and one MKL_VERBOSE record.
     """
-    return _dispatch("gemm", a, b, alpha, trans_a, trans_b, mode, beta, c)
-
-
-def _dispatch(function, a, b, alpha, trans_a, trans_b, mode, beta=0.0, c=None):
-    """The body of :func:`gemm` (2-D operands) and
-    :func:`repro.blas.batch.gemm_batch` (3-D stacks, ``function ==
-    "gemm_batch"``): one execution-context read, one mode resolution and
-    lowering, one device booking and one MKL_VERBOSE record per call."""
-    batched = function == "gemm_batch"
-    ndim = 3 if batched else 2
     a_plan = a if isinstance(a, PreparedOperand) else None
     b_plan = b if isinstance(b, PreparedOperand) else None
     a_arr = a_plan.array if a_plan is not None else np.asarray(a)
     b_arr = b_plan.array if b_plan is not None else np.asarray(b)
-    if a_arr.ndim != ndim or b_arr.ndim != ndim:
+    if a_arr.ndim != 2 or b_arr.ndim != 2:
         raise ValueError(
-            f"{function} requires {ndim}-D operands, "
-            f"got {a_arr.ndim}-D and {b_arr.ndim}-D"
-        )
-    if batched and a_arr.shape[0] != b_arr.shape[0]:
-        raise ValueError(
-            f"batch dimensions differ: {a_arr.shape[0]} vs {b_arr.shape[0]}"
+            f"gemm requires 2-D operands, got {a_arr.ndim}-D and {b_arr.ndim}-D"
         )
     if trans_a not in _TRANS_VALUES or trans_b not in _TRANS_VALUES:
         raise ValueError(
             f"trans flags must be in {_TRANS_VALUES}, got {trans_a!r}, {trans_b!r}"
         )
     if finite_checks_enabled():
-        _assert_finite(function, a_arr, b_arr, a_plan, b_plan)
+        _assert_finite("gemm", a_arr, b_arr, a_plan, b_plan)
 
     ctx = _context.current()
     dtype = _working_dtype(a_arr, b_arr)
@@ -264,22 +252,18 @@ def _dispatch(function, a, b, alpha, trans_a, trans_b, mode, beta=0.0, c=None):
 
     a_h = operand_handle(a_plan if a_plan is not None else a_arr, trans_a, dtype)
     b_h = operand_handle(b_plan if b_plan is not None else b_arr, trans_b, dtype)
-    a_shape, b_shape = a_h.shape, b_h.shape
-    if a_shape[-1] != b_shape[-2]:
+    m, k = a_h.shape
+    if k != b_h.shape[0]:
         raise ValueError(
-            f"inner dimensions differ: op(A) is {a_shape}, op(B) is {b_shape}"
+            f"inner dimensions differ: op(A) is {a_h.shape}, op(B) is {b_h.shape}"
         )
-    m, k = a_shape[-2:]
-    n = b_shape[-1]
-    batch = a_shape[0] if batched else 1
+    n = b_h.shape[1]
 
     # Provenance only exists while a collector is installed; the
     # disabled path stays at the single global read below.
     site_id = ""
     if _telemetry_active() is not None:
-        site_id = register_call_site(
-            ctx.site or "-", function, routine, m, n, k, batch
-        )
+        site_id = call_site_id(ctx.site, routine, m, n, k)
 
     be = _backend._default if ctx.backend is None else ctx.backend
     t0 = time.perf_counter()
@@ -302,12 +286,7 @@ def _dispatch(function, a, b, alpha, trans_a, trans_b, mode, beta=0.0, c=None):
 
     device = ctx.device
     model_seconds = None
-    if device is not None and batched:
-        model_seconds = device.record_gemm_batch(
-            routine=routine, m=m, n=n, k=k, batch=batch, mode=lowering.mode,
-            site=ctx.site,
-        )
-    elif device is not None:
+    if device is not None:
         model_seconds = device.record_gemm(
             routine=routine, m=m, n=n, k=k, mode=lowering.mode, site=ctx.site
         )
@@ -325,7 +304,6 @@ def _dispatch(function, a, b, alpha, trans_a, trans_b, mode, beta=0.0, c=None):
                 seconds=wall,
                 model_seconds=model_seconds,
                 site=ctx.site,
-                batch=batch,
                 site_id=site_id,
                 backend=be.cache_key,
             ),

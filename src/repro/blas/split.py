@@ -69,9 +69,9 @@ def split_gemm_real(
     ----------
     a, b:
         Real FP32 operands with matmul-compatible shapes: plain 2-D
-        matrices or stacked batches ``(..., m, k) @ (..., k, n)`` (the
-        ``gemm_batch`` case), already in the orientation to be
-        multiplied (any transposition resolved by the caller).  Either
+        matrices or stacked batches ``(..., m, k) @ (..., k, n)``,
+        already in the orientation to be multiplied (any transposition
+        resolved by the caller).  Either
         may be a :class:`repro.blas.plan.PreparedOperand` wrapping such
         an array.
     precision:

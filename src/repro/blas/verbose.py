@@ -67,7 +67,6 @@ class VerboseRecord:
     seconds: float        #: wall-clock time of the software emulation
     model_seconds: Optional[float] = None  #: device-model predicted time
     site: str = ""        #: application call site (nlp_prop / calc_energy / remap_occ)
-    batch: int = 1        #: > 1 for gemm_batch calls
     site_id: str = ""     #: stable provenance ID (repro.telemetry.provenance)
     backend: str = "numpy"  #: executing array backend (ArrayBackend.cache_key)
 
@@ -75,7 +74,7 @@ class VerboseRecord:
     def flops(self) -> float:
         """Nominal FLOP count of the logical GEMM (complex counts 4M)."""
         mults = 8.0 if self.routine.startswith(("c", "z")) else 2.0
-        return mults * self.m * self.n * self.k * self.batch
+        return mults * self.m * self.n * self.k
 
     @property
     def reported_seconds(self) -> float:
@@ -173,13 +172,11 @@ def format_verbose_line(rec: VerboseRecord) -> str:
         timing = f"{t * 1e6:.2f}us"
     mode = "" if rec.mode is ComputeMode.STANDARD else f" mode:{rec.mode.env_value}"
     site = f" site:{rec.site}" if rec.site else ""
-    batch = f" batch:{rec.batch}" if rec.batch > 1 else ""
     # The default (numpy) backend is silent so the MKL look-alike line
     # format stays bit-for-bit what the pre-backend parser expects.
     backend = f" backend:{rec.backend}" if rec.backend not in ("", "numpy") else ""
-    name = rec.routine.upper() + ("_BATCH" if rec.batch > 1 else "")
     return (
-        f"MKL_VERBOSE {name}"
+        f"MKL_VERBOSE {rec.routine.upper()}"
         f"({rec.trans_a},{rec.trans_b},{rec.m},{rec.n},{rec.k}) "
-        f"{timing}{mode}{site}{batch}{backend}"
+        f"{timing}{mode}{site}{backend}"
     )

@@ -24,11 +24,12 @@ Controller design
 * **Escalation** — at each QD step the scheduler reads the monitor's
   current budget utilization (max over nexc/javg/ekin).  Crossing
   ``escalate_at`` (default 0.7, i.e. before the monitor's own 0.8
-  warn) promotes *one* site — the one carrying the largest share of
-  ``blas.site.flops`` when telemetry is live, else the fixed order
-  ``nlp_prop > calc_energy > remap_occ`` (state-mutating first) —
-  subject to a minimum dwell time.  An actual budget **breach**
-  promotes *every* site one rung immediately, ignoring dwell.
+  warn) promotes *one* site — the first in the fixed order
+  ``nlp_prop > calc_energy > remap_occ`` (state-mutating first) that
+  has served its minimum dwell time.  The order does not depend on
+  whether a telemetry collector is installed: telemetry observes a
+  run, it never steers one.  An actual budget **breach** promotes
+  *every* site one rung immediately, ignoring dwell.
 * **Demotion** — only at SCF boundaries: the FP64 QXMD update
   re-anchors the state, so that is the one point where relaxing
   precision cannot compound an existing drift.  A block that stayed
@@ -62,7 +63,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from repro.blas.modes import ComputeMode
 from repro.blas.policy import AdaptiveSitePolicy
 from repro.core.error_model import mode_effective_error
-from repro.telemetry.provenance import all_sites as _all_sites
 from repro.telemetry.registry import active as _telemetry_active
 
 __all__ = [
@@ -81,8 +81,8 @@ __all__ = [
 ADAPTIVE_ENV = "REPRO_ADAPTIVE"
 
 #: The LFD call sites under scheduler control, in the default
-#: escalation-priority order: the state-mutating propagation first,
-#: then the observable-only energy and occupation sites.
+#: warn-escalation order: the state-mutating propagation first, then
+#: the observable-only energy and occupation sites.
 SCHED_SITES = ("nlp_prop", "calc_energy", "remap_occ")
 
 #: Candidate modes, kept in increasing-accuracy order by
@@ -125,7 +125,7 @@ class SchedulerConfig:
     budget_headroom: float = 4.0
     #: Candidate modes (re-sorted by decreasing analytic error).
     ladder: Tuple[Union[str, ComputeMode], ...] = DEFAULT_LADDER
-    #: Sites under control, in fallback escalation-priority order.
+    #: Sites under control, in warn-escalation priority order.
     sites: Tuple[str, ...] = SCHED_SITES
 
     def __post_init__(self) -> None:
@@ -261,7 +261,7 @@ class AdaptiveScheduler:
                 # contract cannot be restored by switching modes.
                 self.unhandled_breaches += 1
         elif util is not None and util >= self.config.escalate_at:
-            for site in self._priority_order():
+            for site in self.config.sites:
                 sw = self._escalate(site, step, "warn", util)
                 if sw is not None:
                     made.append(sw)
@@ -289,23 +289,6 @@ class AdaptiveScheduler:
         return made
 
     # -- decision internals --------------------------------------------
-
-    def _priority_order(self) -> List[str]:
-        """Sites by descending FLOP share (live telemetry), else the
-        configured fixed order.  Biggest contributor escalates first —
-        it injects the most rounding error per step."""
-        t = _telemetry_active()
-        if t is None:
-            return list(self.config.sites)
-        flops = {s: 0.0 for s in self.config.sites}
-        for site in _all_sites():
-            if site.anchor in flops:
-                flops[site.anchor] += t.counter_value(
-                    "blas.site.flops", site_id=site.site_id
-                )
-        order = list(self.config.sites)
-        order.sort(key=lambda s: flops[s], reverse=True)
-        return order
 
     def _escalate(
         self,

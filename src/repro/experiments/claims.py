@@ -284,8 +284,8 @@ CLAIMS: List[Claim] = [
         "The bandwidth limitations stem primarily from the relatively "
         "small m = 128 dimension",
         "§V-C",
-        "repro.gpu.gemm_model / repro.profiling.roofline_report",
-        "tests/unit/test_roofline_report.py::TestEntries",
+        "repro.gpu.gemm_model",
+        "tests/unit/test_gpu_gemm_model.py::TestPaperAnchors",
         _check_memory_bound_explanation,
     ),
     Claim(

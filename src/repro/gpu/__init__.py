@@ -24,7 +24,6 @@ from repro.gpu.roofline import RooflinePoint, roofline_time
 from repro.gpu.gemm_model import GemmCost, GemmModel
 from repro.gpu.timeline import KernelEvent, Timeline
 from repro.gpu.executor import Device
-from repro.gpu.tracefile import timeline_to_trace_events, write_chrome_trace
 
 __all__ = [
     "DeviceSpec",
@@ -38,6 +37,4 @@ __all__ = [
     "KernelEvent",
     "Timeline",
     "Device",
-    "timeline_to_trace_events",
-    "write_chrome_trace",
 ]

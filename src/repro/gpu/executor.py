@@ -83,25 +83,6 @@ class Device:
         self.timeline.append(routine, cost.seconds, kind="blas", site=site)
         return cost.seconds
 
-    def record_gemm_batch(
-        self,
-        routine: str,
-        m: int,
-        n: int,
-        k: int,
-        batch: int,
-        mode: ComputeMode,
-        site: str = "",
-    ) -> float:
-        """Book a batched BLAS call: one launch amortised over the batch."""
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        cost = self.model.cost(routine, m, n, k, mode)
-        body = max(cost.point.compute_seconds, cost.point.memory_seconds)
-        seconds = batch * body + cost.point.overhead_seconds
-        self.timeline.append(f"{routine}_batch", seconds, kind="blas", site=site)
-        return seconds
-
     def record_stream(
         self,
         name: str,

@@ -5,6 +5,11 @@ The paper measures end-to-end GPU time with unitrace's "Total L0 Time"
 device appends a :class:`KernelEvent` per launched kernel; the
 timeline can then answer the same queries the authors put to unitrace:
 total device time and per-kernel-name aggregation.
+
+While a telemetry collector is installed, every booked kernel is also
+recorded there (:meth:`repro.telemetry.Telemetry.device_kernel`), so the
+collector's Chrome trace shows the modelled device beside the measured
+spans.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ import dataclasses
 import threading
 from collections import defaultdict
 from typing import Dict, List
+
+from repro.telemetry.registry import active as _telemetry_active
 
 __all__ = ["KernelEvent", "Timeline"]
 
@@ -66,6 +73,9 @@ class Timeline:
             )
             self._events.append(event)
             self._clock += duration
+            collector = _telemetry_active()
+            if collector is not None:
+                collector.device_kernel(event)
         return event
 
     def reset(self) -> None:

@@ -33,12 +33,8 @@ from repro.telemetry.registry import (
     telemetry_enabled,
 )
 from repro.telemetry.provenance import (
-    CallSite,
-    all_sites,
     call_site_id,
     current_site_id,
-    lookup_site,
-    register_call_site,
     site_scope,
 )
 from repro.telemetry.exporters import (
@@ -76,12 +72,8 @@ __all__ = [
     "parse_counter_name",
     "telemetry",
     "telemetry_enabled",
-    "CallSite",
-    "all_sites",
     "call_site_id",
     "current_site_id",
-    "lookup_site",
-    "register_call_site",
     "site_scope",
     "export_all",
     "read_chrome_trace",

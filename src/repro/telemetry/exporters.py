@@ -9,9 +9,11 @@ Three output forms, all derived from the same registry state:
   guaranteed by ``tests/unit/test_telemetry_export.py``).
 * **Chrome ``trace_event`` JSON** (:func:`write_chrome_trace`) — the
   standard ``{"traceEvents": [...]}`` object with microsecond
-  timestamps, one lane per category, loadable in ``chrome://tracing``
-  or https://ui.perfetto.dev (same dialect as
-  :mod:`repro.gpu.tracefile` uses for the modelled device timeline).
+  timestamps, loadable in ``chrome://tracing`` or
+  https://ui.perfetto.dev.  Measured events form one process with a
+  lane per category; kernels booked on a modelled device
+  (``cat="device"``, on the device clock) form a second process,
+  "modelled device", with a lane per kernel kind.
 * **plain-text summary** (:func:`summary_table`) — counters and span
   statistics as an aligned table for terminals and CI logs.
 
@@ -44,6 +46,9 @@ JSONL_VERSION = 1
 
 #: Stable Chrome-trace tid per event category, one lane each.
 _CAT_LANES = {"blas": 1, "lfd": 2, "scf": 3, "sweep": 4, "app": 5}
+
+#: Stable tid per modelled-device kernel kind, one lane each.
+_KIND_LANES = {"blas": 1, "app": 2, "copy": 3}
 
 
 # ----------------------------------------------------------------------
@@ -123,28 +128,43 @@ def read_jsonl(path: PathLike) -> dict:
 # ----------------------------------------------------------------------
 
 
-def chrome_trace_events(collector: Telemetry, pid: int = 1) -> List[dict]:
-    """Convert buffered events to Chrome Trace Event dicts."""
-    process_meta = {"name": "repro.telemetry"}
-    out = [{"name": "process_name", "ph": "M", "pid": pid, "args": process_meta}]
-    for cat, tid in sorted(_CAT_LANES.items(), key=lambda kv: kv[1]):
+def _process_meta(pid: int, name: str, lanes: Dict[str, int]) -> List[dict]:
+    out = [{"name": "process_name", "ph": "M", "pid": pid, "args": {"name": name}}]
+    for lane, tid in sorted(lanes.items(), key=lambda kv: kv[1]):
         out.append(
             {
                 "name": "thread_name",
                 "ph": "M",
                 "pid": pid,
                 "tid": tid,
-                "args": {"name": cat},
+                "args": {"name": lane},
             }
         )
+    return out
+
+
+def chrome_trace_events(collector: Telemetry, pid: int = 1) -> List[dict]:
+    """Convert buffered events to Chrome Trace Event dicts.
+
+    Measured events go to process ``pid``; modelled-device kernels
+    (``cat="device"``) to process ``pid + 1``, laned by kernel kind.
+    """
+    device_pid = pid + 1
+    out = _process_meta(pid, "repro.telemetry", _CAT_LANES)
+    out += _process_meta(device_pid, "modelled device", _KIND_LANES)
     for event in list(collector.events):
-        tid = _CAT_LANES.get(event.get("cat", "app"), 0)
+        if event.get("cat") == "device":
+            event_pid = device_pid
+            tid = _KIND_LANES.get(event["args"].get("kind"), 0)
+        else:
+            event_pid = pid
+            tid = _CAT_LANES.get(event.get("cat", "app"), 0)
         converted = {
             "name": event["name"],
             "cat": event.get("cat", "app"),
             "ph": event.get("ph", "i"),
             "ts": event["ts"] * 1e6,  # seconds -> microseconds
-            "pid": pid,
+            "pid": event_pid,
             "tid": tid,
             "args": {k: v for k, v in event.get("args", {}).items() if v is not None},
         }

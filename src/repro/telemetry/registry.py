@@ -39,7 +39,7 @@ import threading
 import time
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.telemetry.provenance import register_call_site as _register_call_site
+from repro.telemetry.provenance import call_site_id
 from repro.types import ROUTINES
 
 __all__ = [
@@ -330,7 +330,7 @@ class Telemetry:
         self.count("blas.flops", rec.flops, routine=rec.routine)
         dtype = ROUTINES.get(rec.routine)
         itemsize = 8 if dtype is None else dtype.itemsize
-        nbytes = itemsize * rec.batch * (rec.m * rec.k + rec.k * rec.n + rec.m * rec.n)
+        nbytes = itemsize * (rec.m * rec.k + rec.k * rec.n + rec.m * rec.n)
         self.count("blas.bytes", nbytes, routine=rec.routine)
         self.observe("blas.seconds", rec.seconds)
         # Per-backend wall attribution: the run report and the pareto
@@ -340,18 +340,10 @@ class Telemetry:
         if rec.model_seconds is not None:
             self.observe("blas.model_seconds", rec.model_seconds)
         # Per-call-site provenance: stable ID keyed series, the basis of
-        # the run report's hot table and any per-site precision policy.
-        site_id = getattr(rec, "site_id", "")
-        if not site_id:
-            site_id = _register_call_site(
-                rec.site or "-",
-                "gemm_batch" if rec.batch > 1 else "gemm",
-                rec.routine,
-                rec.m,
-                rec.n,
-                rec.k,
-                rec.batch,
-            )
+        # the run report's hot-site table.
+        site_id = getattr(rec, "site_id", "") or call_site_id(
+            rec.site, rec.routine, rec.m, rec.n, rec.k
+        )
         self.count("blas.site.calls", site_id=site_id)
         self.count("blas.site.flops", rec.flops, site_id=site_id)
         self.count("blas.site.bytes", nbytes, site_id=site_id)
@@ -375,10 +367,29 @@ class Telemetry:
                     "mode": mode,
                     "site": rec.site,
                     "site_id": site_id,
-                    "batch": rec.batch,
                     "model_seconds": rec.model_seconds,
                     "backend": backend,
                 },
+            }
+        )
+
+    def device_kernel(self, event) -> None:
+        """Record one kernel booked on a modelled device (duck-typed
+        :class:`repro.gpu.timeline.KernelEvent`).
+
+        A complete ``cat="device"`` event on the *device* clock: ``ts``
+        is the kernel's modelled start and ``dur`` its modelled
+        seconds.  The Chrome exporter draws these as a second process
+        beside the measured spans.
+        """
+        self._append_event(
+            {
+                "name": event.name,
+                "cat": "device",
+                "ph": "X",
+                "ts": event.start,
+                "dur": event.duration,
+                "args": {"kind": event.kind, "site": event.site},
             }
         )
 
@@ -409,7 +420,6 @@ class Telemetry:
                     seconds=e["dur"],
                     model_seconds=a["model_seconds"],
                     site=a["site"],
-                    batch=a["batch"],
                     site_id=a.get("site_id", ""),
                     backend=a.get("backend", "numpy"),
                 )

@@ -6,7 +6,6 @@ inside the fixed budget, record its switches in telemetry, and render
 an "Adaptive precision schedule" section into the run report.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.scheduler import AdaptiveScheduler, set_adaptive_enabled
@@ -94,6 +93,24 @@ class TestClosedLoop:
         report = generate_run_report(t)
         assert "## Adaptive precision schedule" in report
         assert "Final ladder rungs" in report
+
+    def test_collector_does_not_steer_the_schedule(self, sim, reference):
+        # Telemetry observes a run, it never decides one: the same
+        # adaptive run with and without a collector installed makes the
+        # same switches, warn-driven ones included, and ends in the
+        # same state, bit for bit.
+        _, ref = reference
+        runs = []
+        for collect in (False, True):
+            if collect:
+                registry.enable()
+            sched = AdaptiveScheduler()
+            result = sim.run(adaptive=sched, drift=DriftMonitor(reference=ref))
+            registry.disable()
+            runs.append((sched.switches, result.final_psi.tobytes()))
+        assert any(sw.reason == "warn" for sw in runs[0][0])
+        assert runs[1][0] == runs[0][0]
+        assert runs[1][1] == runs[0][1]
 
     def test_scf_boundaries_rearm_alert_latches(self, sim, reference):
         _, ref = reference

@@ -17,7 +17,6 @@ import pytest
 from gemm_oracles import emulated_fp64_gemm_reference, ozaki_gemm_reference
 from hypothesis import given, settings, strategies as st
 
-from repro.blas.batch import gemm_batch
 from repro.blas.complex3m import gemm_4m
 from repro.blas.gemm import finite_checks, gemm
 from repro.blas.modes import ComputeMode, set_ozaki_slices
@@ -334,16 +333,6 @@ class TestGoldenOzakiBoundaries:
         ca = (a + 1j * a[::-1]).astype(np.complex64)
         cb = (b[:, ::-1] + 1j * b).astype(np.complex64)
         self._check(ca, cb, n_slices)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.complex64], ids=["sgemm", "cgemm"])
-    def test_batched(self, dtype):
-        # gemm_batch's leading axis rides through the per-pair GEMMs
-        # and the exponent scaling.
-        rng = np.random.default_rng(5)
-        a, b = _operand(rng, (3, 6, 1100), dtype), _operand(rng, (3, 1100, 5), dtype)
-        out = gemm_batch(a, b, mode=ComputeMode.OZAKI_INT8)
-        for i in range(3):
-            _assert_bitwise(out[i], _reference(a[i], b[i], ComputeMode.OZAKI_INT8))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.complex64], ids=["sgemm", "cgemm"])
     def test_non_finite_input(self, dtype):

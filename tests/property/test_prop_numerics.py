@@ -1,29 +1,9 @@
-"""Property-based tests: numerics-layer extensions (batch, maxwell)."""
+"""Property-based tests: numerics-layer extensions (maxwell)."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from repro.blas.batch import gemm_batch
-from repro.blas.gemm import gemm
-from repro.blas.modes import ComputeMode
 from repro.dcmesh.maxwell import InducedField
-
-seeds = st.integers(min_value=0, max_value=2**31 - 1)
-modes = st.sampled_from(list(ComputeMode))
-
-
-class TestBatchProperties:
-    @given(seeds, st.integers(min_value=1, max_value=5),
-           st.integers(min_value=1, max_value=6), modes)
-    @settings(max_examples=40, deadline=None)
-    def test_batch_equals_loop(self, seed, batch, dim, mode):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((batch, dim, dim)).astype(np.float32)
-        b = rng.standard_normal((batch, dim, dim)).astype(np.float32)
-        out = gemm_batch(a, b, mode=mode)
-        for i in range(batch):
-            np.testing.assert_array_equal(out[i], gemm(a[i], b[i], mode=mode))
 
 
 class TestInducedFieldProperties:

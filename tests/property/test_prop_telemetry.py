@@ -32,7 +32,6 @@ records = st.builds(
     seconds=st.floats(min_value=1e-6, max_value=100.0),
     model_seconds=st.none() | st.floats(min_value=1e-6, max_value=100.0),
     site=st.sampled_from(["", "nlp_prop", "calc_energy", "remap_occ", "qmc_proj"]),
-    batch=st.integers(min_value=1, max_value=512),
 )
 
 
@@ -53,7 +52,6 @@ def test_collector_detour_is_lossless(rec):
     assert (rebuilt.m, rebuilt.n, rebuilt.k) == (rec.m, rec.n, rec.k)
     assert rebuilt.mode is rec.mode
     assert rebuilt.site == rec.site
-    assert rebuilt.batch == rec.batch
     assert rebuilt.seconds == rec.seconds
     assert rebuilt.model_seconds == rec.model_seconds
 

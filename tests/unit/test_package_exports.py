@@ -15,7 +15,6 @@ PACKAGES = [
     "repro.dcmesh",
     "repro.dcmesh.io",
     "repro.core",
-    "repro.profiling",
     "repro.experiments",
 ]
 
@@ -25,7 +24,6 @@ MODULES = [
     "repro.blas.rounding",
     "repro.blas.modes",
     "repro.blas.gemm",
-    "repro.blas.batch",
     "repro.blas.split",
     "repro.blas.complex3m",
     "repro.blas.verbose",
@@ -36,7 +34,6 @@ MODULES = [
     "repro.gpu.gemm_model",
     "repro.gpu.timeline",
     "repro.gpu.executor",
-    "repro.gpu.tracefile",
     "repro.dcmesh.constants",
     "repro.dcmesh.mesh",
     "repro.dcmesh.material",
@@ -68,7 +65,6 @@ MODULES = [
     "repro.core.ablation",
     "repro.core.plots",
     "repro.core.report",
-    "repro.profiling.roofline_report",
     "repro.experiments.registry",
     "repro.experiments.runner",
     "repro.experiments.report",

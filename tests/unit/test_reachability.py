@@ -3,12 +3,13 @@
 A module earns its place when a paper artifact, a registered claim or a
 qdbench workload reaches it.  The roots are the console scripts in
 ``setup.cfg`` (``dcmesh-repro`` reaches the experiment registry, every
-artifact and every claim checker), every ``repro`` import in
-``qdbench/*.py``, and every module a registered claim names in its
-``module`` field.  From there the scan follows module- and
+artifact and every claim checker) and every ``repro`` import in
+``qdbench/*.py``.  From there the scan follows module- and
 function-level imports.  ``from pkg import name`` resolves to the
 submodule that defines ``name``, so a package ``__init__`` re-export
-alone reaches nothing.
+alone reaches nothing.  A claim's ``module`` field is not a root: a
+module a claim names must be reached from the console scripts, which
+run the claim's checker.  No module is exempt.
 
 The tests read source files only (``ast``); they import nothing.
 """
@@ -22,19 +23,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src"
-
-#: Modules that stay although no root reaches them, with the reason.
-KEPT = {
-    "repro.blas.batch": (
-        "oneMKL's gemm_batch: gemm._dispatch with 3-D operands; removing it "
-        "changes the dispatch, the call record and the device booking"
-    ),
-    "repro.gpu.tracefile": (
-        "the only device trace today (operations_workflow.py writes it); "
-        "it becomes the modelled-device track of telemetry/exporters.py"
-    ),
-}
-
 
 def _package_modules():
     """``{dotted name: path}`` of every module under ``src/repro``."""
@@ -133,30 +121,26 @@ def modules():
     return _package_modules()
 
 
-@pytest.fixture(scope="module")
-def unreached(modules):
-    roots = [*_console_scripts(), *_qdbench_roots(modules), *_claim_modules()]
-    reached = _reached(modules, roots)
-    return {m for m in modules if not _is_package(modules, m)} - reached
-
-
 def test_roots_exist(modules):
     roots = [*_console_scripts(), *_claim_modules()]
     assert [r for r in roots if r not in modules] == []
     assert list(_qdbench_roots(modules))
 
 
-def test_every_module_is_reached(unreached):
-    missing = sorted(unreached - set(KEPT))
+def test_every_module_is_reached(modules):
+    roots = [*_console_scripts(), *_qdbench_roots(modules)]
+    reached = _reached(modules, roots)
+    missing = sorted(
+        m for m in modules if not _is_package(modules, m) and m not in reached
+    )
     assert missing == [], (
         f"{len(missing)} modules reached by no artifact, claim or qdbench "
         f"workload: {missing}"
     )
 
 
-def test_kept_modules_exist_and_are_unreached(modules, unreached):
-    for module, reason in KEPT.items():
-        assert module in modules, f"{module} is gone; drop it from KEPT"
-        assert module in unreached, f"{module} is reached now; drop it from KEPT"
-        assert reason
+def test_claim_modules_are_reached_from_the_console_scripts(modules):
+    reached = _reached(modules, _console_scripts())
+    named = sorted(set(_claim_modules()))
+    assert [m for m in named if m not in reached] == []
 

@@ -276,7 +276,7 @@ class TestBlasStream:
         t = Telemetry()
         original = _rec(
             routine="sgemm", m=7, n=5, k=3, site="calc_energy",
-            mode=ComputeMode.FLOAT_TO_BF16X3, model_seconds=2.5e-3, batch=4,
+            mode=ComputeMode.FLOAT_TO_BF16X3, model_seconds=2.5e-3,
         )
         t.blas_call(original)
         (rebuilt,) = t.verbose_records()
@@ -284,7 +284,6 @@ class TestBlasStream:
         assert (rebuilt.m, rebuilt.n, rebuilt.k) == (7, 5, 3)
         assert rebuilt.mode is ComputeMode.FLOAT_TO_BF16X3
         assert rebuilt.site == "calc_energy"
-        assert rebuilt.batch == 4
         assert rebuilt.seconds == original.seconds
         assert rebuilt.model_seconds == original.model_seconds
 
